@@ -44,6 +44,10 @@ L1I_CONFIG = CacheConfig(size_bytes=32 * 1024, assoc=4, latency=2, mshrs=8)
 L1D_CONFIG = CacheConfig(size_bytes=32 * 1024, assoc=4, latency=2, mshrs=16)
 L2_CONFIG = CacheConfig(size_bytes=512 * 1024, assoc=8, latency=12, mshrs=16)
 
+#: A cache's contents as :meth:`Cache.snapshot` captures them: per set,
+#: its (line, dirty) pairs in LRU order, least recently used first.
+CacheImage = Tuple[Tuple[Tuple[int, bool], ...], ...]
+
 
 class Cache:
     """One cache level.  Keys are line addresses (byte addr >> offset)."""
@@ -105,6 +109,23 @@ class Cache:
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
+
+    def snapshot(self) -> CacheImage:
+        """The contents (lines, LRU order, dirty bits) as an immutable image.
+
+        Counters are not part of the image.  Being immutable, one image
+        can seed any number of caches through :meth:`restore`.
+        """
+        return tuple(tuple(cache_set.items()) for cache_set in self._sets)
+
+    def restore(self, image: CacheImage) -> None:
+        """Replace the contents with ``image``; counters are untouched.
+
+        ``image`` must come from a cache of the same geometry.  Every
+        set becomes a new dict, so caches restored from one image share
+        no mutable state.
+        """
+        self._sets = [OrderedDict(pairs) for pairs in image]
 
 
 class MshrFile:

@@ -156,11 +156,13 @@ def spec_from_payload(payload: Dict[str, Any]) -> RunSpec:
 
 
 def job_cost(spec: RunSpec) -> float:
-    """The scheduler's cost estimate for one run: simulated cycles.
+    """The scheduler's cost estimate for one run: simulated core-cycles.
 
     Deliberately the same unit the paper's memory scheduler charges
     (service time in its own clock): virtual finish tags advance by
     ``cost / φ``, so two tenants with equal shares interleave whole
-    runs and a φ=4 tenant drains four runs per competitor run.
+    runs of equal size and a φ=4 tenant drains four runs per competitor
+    run.  A run builds and simulates one core per thread, so its cost
+    scales with the thread count: a quad run costs twice a pair run.
     """
-    return float(spec.warmup + spec.cycles)
+    return float((spec.warmup + spec.cycles) * len(spec.names))

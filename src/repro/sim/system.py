@@ -22,6 +22,7 @@ from ..check import RunChecker, checks_enabled
 from ..controller.address_map import AddressMap
 from ..controller.controller import MemoryController
 from ..controller.request import MemoryRequest, RequestKind
+from ..cpu.cache import CacheImage
 from ..cpu.core_model import OooCore
 from ..cpu.hierarchy import CacheHierarchy
 from ..dram.dram_system import DramSystem
@@ -317,14 +318,14 @@ class CmpSystem:
             self._obs_phases = run_obs.phases
             run_obs.attach(self)
 
-    #: Memoized prewarm fill sequences, keyed by (workload, seed,
-    #: base address, line size).  The stream is a pure function of the
-    #: key, so replaying the recorded (line, dirty) pairs produces a
-    #: bit-identical warm cache while skipping the synthetic trace
-    #: generator — the dominant cost of building a system, paid
-    #: repeatedly by benchmark rounds and figure sweeps that rebuild
-    #: the same workloads.  Bounded, least-recently-inserted eviction.
-    _prewarm_memo: "OrderedDict[Tuple, List[Tuple[int, bool]]]" = OrderedDict()
+    #: Memoized warm L2 images (:meth:`Cache.snapshot`), keyed by
+    #: (workload, seed, base address, L2 config): the image is a pure
+    #: function of the prewarm stream and the whole L2 geometry, so a
+    #: restore is bit-identical to replaying up to 40k fills per core —
+    #: the dominant cost of building a system, paid repeatedly by
+    #: benchmark rounds and sweeps that rebuild the same workloads.
+    #: Bounded, least-recently-inserted eviction.
+    _prewarm_memo: "OrderedDict[Tuple, CacheImage]" = OrderedDict()
     _PREWARM_MEMO_CAP = 64
 
     def _prewarm(
@@ -339,31 +340,30 @@ class CmpSystem:
         The stream comes from a twin of the live trace, so measurement
         starts in cache steady state without perturbing the replay.
         """
-        fills: Optional[List[Tuple[int, bool]]] = None
-        key: Optional[Tuple] = None
+        l2 = hierarchy.l2
+        key: Optional[Tuple] = (workload, seed, base_address, l2.config)
+        image: Optional[CacheImage] = None
         try:
-            key = (workload, seed, base_address, hierarchy.l2.config.line_bytes)
-            fills = self._prewarm_memo.get(key)
+            image = self._prewarm_memo.get(key)
         except TypeError:
             # Unhashable workload (e.g. a mutable trace replay): skip
-            # the memo and generate the stream directly.
+            # the memo and warm from the stream directly.
             key = None
-        if fills is None:
-            fills = [
-                (hierarchy.line_of(record.address), record.is_write)
-                for record in workload.prewarm_stream(seed, base_address)
-            ]
+        if image is not None:
+            l2.restore(image)
+        else:
+            line_of = hierarchy.line_of
+            l2_fill = l2.fill
+            for record in workload.prewarm_stream(seed, base_address):
+                l2_fill(line_of(record.address), dirty=record.is_write)
             if key is not None:
                 memo = self._prewarm_memo
-                memo[key] = fills
+                memo[key] = l2.snapshot()
                 while len(memo) > self._PREWARM_MEMO_CAP:
                     memo.popitem(last=False)
-        l2_fill = hierarchy.l2.fill
-        for line, dirty in fills:
-            l2_fill(line, dirty=dirty)
-        hierarchy.l2.hits = 0
-        hierarchy.l2.misses = 0
-        hierarchy.l2.writebacks = 0
+        l2.hits = 0
+        l2.misses = 0
+        l2.writebacks = 0
         hierarchy.pending_writebacks.clear()
 
     # -- flow control ------------------------------------------------------

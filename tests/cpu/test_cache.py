@@ -102,6 +102,32 @@ class TestDirtyState:
         assert not cache.invalidate(1)
 
 
+class TestSnapshotRestore:
+    def test_restored_cache_evicts_like_the_original(self):
+        original = small_cache(assoc=2, sets=2)
+        original.fill(0, dirty=True)
+        original.fill(2)
+        original.fill(1)
+        original.lookup(0)  # set 0 LRU order: 2 (clean), then 0 (dirty)
+        restored = small_cache(assoc=2, sets=2)
+        restored.restore(original.snapshot())
+        assert restored.snapshot() == original.snapshot()
+        assert restored.fill(4) == original.fill(4) == (2, False)
+        assert restored.fill(6) == original.fill(6) == (0, True)
+        assert restored.writebacks == original.writebacks == 1
+
+    def test_image_is_unaffected_by_later_accesses(self):
+        cache = small_cache(assoc=2, sets=1)
+        cache.fill(1)
+        cache.fill(2)
+        image = cache.snapshot()
+        restored = small_cache(assoc=2, sets=1)
+        restored.restore(image)
+        restored.lookup(1, mark_dirty=True)
+        restored.fill(3)
+        assert image == (((1, False), (2, False)),)
+
+
 class TestCacheInvariants:
     @given(
         lines=st.lists(st.integers(min_value=0, max_value=255), min_size=1,

@@ -114,5 +114,8 @@ class TestValidation:
 
 
 def test_job_cost_is_simulated_cycles():
-    spec = group_spec(("vpr", "art"), "FR-FCFS", 2000, 500, 0)
-    assert job_cost(spec) == 2500.0
+    # Core-cycles: a run simulates its window once per thread.
+    pair = group_spec(("vpr", "art"), "FR-FCFS", 2000, 500, 0)
+    quad = group_spec(("vpr", "art", "gzip", "twolf"), "FR-FCFS", 2000, 500, 0)
+    assert job_cost(pair) == 5000.0
+    assert job_cost(quad) == 2 * job_cost(pair)
