@@ -15,16 +15,28 @@ CI can smoke-test with a short run while local measurements use the
 full default window.  CI's smoke-perf job additionally asserts the
 tripwire below: the event engine must not fall behind the per-cycle
 oracle on the pair workload.
+
+A second section times system construction's dominant cost, warming
+one core's L2 from a cold memo: the batched path against the
+per-record replay it replaced, seconds per core as min/median/max over
+rounds, with its own tripwire.  Every system build in a fresh process
+(each serve job, each pool worker's first build) pays it.
 """
 
+import itertools
+import os
+import statistics
 from pathlib import Path
 from time import perf_counter
 
 from conftest import once
 
 from repro import env
+from repro.cpu.hierarchy import CacheHierarchy
 from repro.obs.manifest import write_bench_record
+from repro.sim.config import SystemConfig
 from repro.sim.runner import default_warmup, run_workload
+from repro.sim.system import CmpSystem
 from repro.workloads.spec2000 import profile as lookup_profile
 
 POLICIES = ("FR-FCFS", "FQ-VFTF")
@@ -40,6 +52,16 @@ ROUNDS = 3
 #: an engine regression shows up as a large multiple, not a few
 #: percent — so machine noise never trips it.
 EVENT_SPEED_FLOOR = 0.8
+
+#: Cold-prewarm A/B profiles: the quad workload's, spanning footprints
+#: from 16k to 1M lines and write mixes from 0.10 to 0.35.
+PREWARM_MIX = ("art", "vpr", "parser", "crafty")
+PREWARM_ROUNDS = 5
+
+#: The batched warm-up must beat the per-record replay by at least this
+#: factor (medians over rounds).  Well below the measured ~2x, so
+#: runner noise does not trip it; losing the batching does.
+PREWARM_SPEEDUP_FLOOR = 1.5
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -97,8 +119,57 @@ def _measure_all(cycles: int):
     return rows
 
 
+def _batched_prewarm(hierarchy, workload, seed, base_address):
+    """What a cold system build runs: draw-loop chunks into ``Cache.warm``."""
+    CmpSystem._prewarm_memo.clear()
+    CmpSystem._prewarm(hierarchy, workload, seed, base_address)
+
+
+def _replay_prewarm(hierarchy, workload, seed, base_address):
+    """The replaced path: one ``TraceRecord`` and one ``Cache.fill`` per reference."""
+    l2 = hierarchy.l2
+    touches = min(4 * workload.working_set_lines, 40_000)
+    for record in itertools.islice(workload.make_trace(seed, base_address), touches):
+        l2.fill(hierarchy.line_of(record.address), dirty=record.is_write)
+    l2.snapshot()  # a cold build snapshots its image into the memo too
+
+
+def _prewarm_seconds(warm) -> float:
+    """Mean seconds to warm one core's L2 over :data:`PREWARM_MIX`."""
+    config = SystemConfig(num_cores=len(PREWARM_MIX))
+    elapsed = 0.0
+    for core_id, name in enumerate(PREWARM_MIX):
+        hierarchy = CacheHierarchy(config.l1i, config.l1d, config.l2)
+        base_address = core_id * config.thread_address_stride
+        start = perf_counter()
+        warm(hierarchy, lookup_profile(name), config.seed, base_address)
+        elapsed += perf_counter() - start
+    return elapsed / len(PREWARM_MIX)
+
+
+def _measure_prewarm():
+    """Seconds per core, batched vs replay, alternating within each round."""
+    samples = {"batched": [], "replay": []}
+    for _ in range(PREWARM_ROUNDS):
+        samples["batched"].append(_prewarm_seconds(_batched_prewarm))
+        samples["replay"].append(_prewarm_seconds(_replay_prewarm))
+    row = {
+        path: {
+            "min_s": round(min(values), 5),
+            "median_s": round(statistics.median(values), 5),
+            "max_s": round(max(values), 5),
+        }
+        for path, values in samples.items()
+    }
+    row["speedup"] = round(
+        statistics.median(samples["replay"]) / statistics.median(samples["batched"]), 3
+    )
+    row["host_cpus"] = os.cpu_count()
+    return row
+
+
 def test_engine_throughput(benchmark, cycles):
-    rows = once(benchmark, lambda: _measure_all(cycles))
+    rows, prewarm = once(benchmark, lambda: (_measure_all(cycles), _measure_prewarm()))
     print()
     for tag, policies in rows.items():
         for policy, engines in policies.items():
@@ -108,6 +179,13 @@ def test_engine_throughput(benchmark, cycles):
                     f" {row['cycles_per_second']:10,.0f} cyc/s"
                     f"  skip {row['skip_ratio']:.1%}"
                 )
+    for path in ("batched", "replay"):
+        times = prewarm[path]
+        print(
+            f"  cold prewarm {path:8s} {1000 * times['median_s']:7.1f} ms/core"
+            f"  [{1000 * times['min_s']:.1f}, {1000 * times['max_s']:.1f}]"
+        )
+    print(f"  cold prewarm speedup {prewarm['speedup']:.2f}x")
 
     write_bench_record(
         RESULT_PATH,
@@ -124,6 +202,9 @@ def test_engine_throughput(benchmark, cycles):
                 p: rows["vpr+art"][p]["event"]["cycles_per_second"]
                 for p in POLICIES
             },
+            "prewarm_profiles": list(PREWARM_MIX),
+            "prewarm_rounds": PREWARM_ROUNDS,
+            "prewarm": prewarm,
         },
         strict_gate=env.truthy("REPRO_BENCH_STRICT"),
     )
@@ -146,3 +227,9 @@ def test_engine_throughput(benchmark, cycles):
             f"{pair['event']['cycles_per_second']:,.0f} vs "
             f"{pair['cycle']['cycles_per_second']:,.0f} cyc/s"
         )
+
+    # CI tripwire: a cold build's L2 warm-up stays batched.
+    assert prewarm["speedup"] >= PREWARM_SPEEDUP_FLOOR, (
+        f"batched prewarm only {prewarm['speedup']:.2f}x the record replay "
+        f"(floor {PREWARM_SPEEDUP_FLOOR}x)"
+    )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,30 @@ class Cache:
                 self.writebacks += 1
         cache_set[line] = dirty
         return evicted
+
+    def warm(self, lines: Iterable[int], dirty: Iterable[bool]) -> None:
+        """Install ``lines`` in order, each dirty when ``dirty`` says so.
+
+        The batch form of one :meth:`fill` per line: the same contents,
+        LRU order, dirty bits and ``writebacks`` count, with victims
+        dropped instead of returned.  System builds warm each core's L2
+        through it.
+        """
+        sets = self._sets
+        mask = self._set_mask
+        assoc = self.config.assoc
+        writebacks = 0
+        for line, is_dirty in zip(lines, dirty):
+            cache_set = sets[line & mask]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+                if is_dirty:
+                    cache_set[line] = True
+                continue
+            if len(cache_set) >= assoc and cache_set.popitem(last=False)[1]:
+                writebacks += 1
+            cache_set[line] = is_dirty
+        self.writebacks += writebacks
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line``; returns True if it was present and dirty."""

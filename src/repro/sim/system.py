@@ -104,8 +104,14 @@ class CmpSystem:
         ``profiles`` entries may be synthetic
         :class:`~repro.workloads.synthetic.BenchmarkProfile` objects or
         recorded :class:`~repro.workloads.trace_workload.TraceWorkload`
-        streams — anything exposing ``name``, ``make_trace`` and
-        ``prewarm_stream``.
+        streams — anything exposing ``name``, ``make_trace(seed,
+        base_address)`` (an iterator of
+        :class:`~repro.cpu.trace.TraceRecord`) and ``prewarm_stream(seed,
+        base_address)``, which yields (addresses, writes) chunks: byte
+        addresses and, index for index, store flags of the references
+        that warm the core's L2, in order.  Chunks keep a build from
+        holding a whole prewarm stream in memory.  A workload whose
+        ``reads_file`` is true never has its warm L2 image memoized.
 
         ``check`` attaches the :mod:`repro.check` runtime validators
         (protocol sanitizer + scheduler invariant checker) to every
@@ -321,15 +327,16 @@ class CmpSystem:
     #: Memoized warm L2 images (:meth:`Cache.snapshot`), keyed by
     #: (workload, seed, base address, L2 config): the image is a pure
     #: function of the prewarm stream and the whole L2 geometry, so a
-    #: restore is bit-identical to replaying up to 40k fills per core —
-    #: the dominant cost of building a system, paid repeatedly by
-    #: benchmark rounds and sweeps that rebuild the same workloads.
-    #: Bounded, least-recently-inserted eviction.
+    #: restore is bit-identical to warming from the stream — the
+    #: dominant cost of building a system, paid repeatedly by benchmark
+    #: rounds and sweeps that rebuild the same workloads.  Bounded,
+    #: least-recently-inserted eviction.
     _prewarm_memo: "OrderedDict[Tuple, CacheImage]" = OrderedDict()
     _PREWARM_MEMO_CAP = 64
 
+    @classmethod
     def _prewarm(
-        self,
+        cls,
         hierarchy: CacheHierarchy,
         workload,
         seed: int,
@@ -341,25 +348,29 @@ class CmpSystem:
         starts in cache steady state without perturbing the replay.
         """
         l2 = hierarchy.l2
-        key: Optional[Tuple] = (workload, seed, base_address, l2.config)
+        key: Optional[Tuple] = None
         image: Optional[CacheImage] = None
-        try:
-            image = self._prewarm_memo.get(key)
-        except TypeError:
-            # Unhashable workload (e.g. a mutable trace replay): skip
-            # the memo and warm from the stream directly.
-            key = None
+        # A trace read from a file is keyed by its path, not by the
+        # file's content, so a memoized image could be stale.
+        if not getattr(workload, "reads_file", False):
+            key = (workload, seed, base_address, l2.config)
+            try:
+                image = cls._prewarm_memo.get(key)
+            except TypeError:
+                # Unhashable workload (e.g. a mutable trace replay): skip
+                # the memo and warm from the stream directly.
+                key = None
         if image is not None:
             l2.restore(image)
         else:
             line_of = hierarchy.line_of
-            l2_fill = l2.fill
-            for record in workload.prewarm_stream(seed, base_address):
-                l2_fill(line_of(record.address), dirty=record.is_write)
+            warm = l2.warm
+            for addresses, writes in workload.prewarm_stream(seed, base_address):
+                warm(map(line_of, addresses), writes)
             if key is not None:
-                memo = self._prewarm_memo
+                memo = cls._prewarm_memo
                 memo[key] = l2.snapshot()
-                while len(memo) > self._PREWARM_MEMO_CAP:
+                while len(memo) > cls._PREWARM_MEMO_CAP:
                     memo.popitem(last=False)
         l2.hits = 0
         l2.misses = 0

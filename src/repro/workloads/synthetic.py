@@ -26,9 +26,18 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from ..cpu.trace import TraceRecord
+
+#: One prewarm chunk: the byte addresses of consecutive references and,
+#: index for index, whether each is a store.
+PrewarmChunk = Tuple[List[int], List[bool]]
+
+#: References per draw.  Prewarm streams yield chunks of at most this
+#: many, and the live trace refills its buffer this many at a time, so
+#: neither holds more than one chunk of its stream in memory.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -68,16 +77,22 @@ class BenchmarkProfile:
         """Per-core infinite trace stream (the workload interface)."""
         return SyntheticTraceGenerator(self, seed=seed, base_address=base_address)
 
-    def prewarm_stream(self, seed: int, base_address: int) -> Iterator[TraceRecord]:
-        """Leading records used to warm the L2 before timing starts.
+    def prewarm_stream(self, seed: int, base_address: int) -> Iterator[PrewarmChunk]:
+        """Leading references used to warm the L2 before timing starts.
 
-        A twin generator (same seed) supplies them, so the live trace
-        is unaffected.  Cache-resident benchmarks would otherwise spend
-        millions of cycles compulsory-missing their footprint.
+        Yields (addresses, writes) chunks of at most :data:`CHUNK`
+        references: the first ``min(4 * working_set_lines, 40_000)``
+        references of :meth:`make_trace`'s stream.  A twin generator
+        (same seed) draws them, so the live trace is unaffected.
+        Cache-resident benchmarks would otherwise spend millions of
+        cycles compulsory-missing their footprint.
         """
         twin = SyntheticTraceGenerator(self, seed=seed, base_address=base_address)
-        touches = min(4 * self.working_set_lines, 40_000)
-        return (next(twin) for _ in range(touches))
+        left = min(4 * self.working_set_lines, 40_000)
+        while left > 0:
+            _, addresses, writes, _ = twin.draw(min(left, CHUNK))
+            left -= len(addresses)
+            yield addresses, writes
 
 
 class SyntheticTraceGenerator:
@@ -86,6 +101,10 @@ class SyntheticTraceGenerator:
     LINE_BYTES = 64
 
     def __init__(self, profile: BenchmarkProfile, seed: int = 0, base_address: int = 0):
+        if base_address < 0:
+            # Prewarm addresses never become TraceRecords, so nothing
+            # downstream would catch a negative address.
+            raise ValueError(f"base_address must be >= 0, got {base_address}")
         self.profile = profile
         self.base_address = base_address
         # zlib.crc32 is stable across processes (unlike hash(), which is
@@ -98,41 +117,79 @@ class SyntheticTraceGenerator:
         ]
         self._burst_left = 0
         self._stream_idx = 0
+        #: Drawn references not yet served by :meth:`__next__`, as
+        #: (gap, address, is_write, dep) tuples.
+        self._pending: Iterator[Tuple[int, int, bool, int]] = iter(())
 
-    def _gap(self, mean: float) -> int:
-        if mean <= 0:
-            return 0
-        return int(self._rng.expovariate(1.0 / mean))
+    def draw(self, count: int) -> Tuple[List[int], List[int], List[bool], List[int]]:
+        """Draw the next ``count`` references as columns.
 
-    def _next_line(self) -> int:
+        Returns (gaps, addresses, writes, deps).  This loop is the only
+        consumer of the generator's RNG, and each reference makes the
+        same calls in the same order — burst length when a burst
+        starts, gap, stream step, store flag, dependence flag — so the
+        stream does not depend on how it is split into draws.
+        """
         profile = self.profile
-        self._stream_idx = (self._stream_idx + 1) % profile.num_streams
+        rng = self._rng
+        random_ = rng.random
+        expovariate = rng.expovariate
+        randrange = rng.randrange
+        burst_gap = profile.burst_gap
+        inter_burst_gap = profile.inter_burst_gap
+        mean_extra = profile.burst_len - 1.0
+        burst_rate = 1.0 / burst_gap if burst_gap > 0 else 0.0
+        inter_rate = 1.0 / inter_burst_gap if inter_burst_gap > 0 else 0.0
+        extra_rate = 1.0 / mean_extra if mean_extra > 0 else 0.0
+        row_locality = profile.row_locality
+        write_frac = profile.write_frac
+        dep_frac = profile.dep_frac
+        footprint = profile.working_set_lines
+        num_streams = profile.num_streams
+        streams = self._streams
         idx = self._stream_idx
-        if self._rng.random() < profile.row_locality:
-            self._streams[idx] = (self._streams[idx] + 1) % profile.working_set_lines
-        else:
-            self._streams[idx] = self._rng.randrange(profile.working_set_lines)
-        return self._streams[idx]
+        burst_left = self._burst_left
+        base = self.base_address
+        line_bytes = self.LINE_BYTES
+        gaps: List[int] = []
+        addresses: List[int] = []
+        writes: List[bool] = []
+        deps: List[int] = []
+        add_gap = gaps.append
+        add_address = addresses.append
+        add_write = writes.append
+        add_dep = deps.append
+        for _ in range(count):
+            if burst_left > 0:
+                burst_left -= 1
+                add_gap(int(expovariate(burst_rate)) if burst_gap > 0 else 0)
+            else:
+                # Start a new burst: geometric length with the given mean.
+                burst_left = int(expovariate(extra_rate)) if mean_extra > 0 else 0
+                add_gap(int(expovariate(inter_rate)) if inter_burst_gap > 0 else 0)
+            idx = (idx + 1) % num_streams
+            if random_() < row_locality:
+                line = (streams[idx] + 1) % footprint
+            else:
+                line = randrange(footprint)
+            streams[idx] = line
+            add_address(base + line * line_bytes)
+            add_write(random_() < write_frac)
+            add_dep(1 if random_() < dep_frac else 0)
+        self._stream_idx = idx
+        self._burst_left = burst_left
+        return gaps, addresses, writes, deps
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self
 
     def __next__(self) -> TraceRecord:
-        profile = self.profile
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            gap = self._gap(profile.burst_gap)
-        else:
-            # Start a new burst: geometric length with the given mean.
-            mean_extra = profile.burst_len - 1.0
-            self._burst_left = (
-                int(self._rng.expovariate(1.0 / mean_extra)) if mean_extra > 0 else 0
-            )
-            gap = self._gap(profile.inter_burst_gap)
-        line = self._next_line()
-        address = self.base_address + line * self.LINE_BYTES
-        is_write = self._rng.random() < profile.write_frac
-        dep = 1 if self._rng.random() < profile.dep_frac else 0
+        fields = next(self._pending, None)
+        if fields is None:
+            gaps, addresses, writes, deps = self.draw(CHUNK)
+            self._pending = zip(gaps, addresses, writes, deps)
+            fields = next(self._pending)
+        gap, address, is_write, dep = fields
         return TraceRecord(inst_gap=gap, is_write=is_write, address=address, dep=dep)
 
     def take(self, count: int) -> List[TraceRecord]:

@@ -6,7 +6,7 @@ traces, but the simulator is equally happy replaying *recorded* traces
 wraps a trace file — or an in-memory record list — behind the same
 interface :class:`~repro.workloads.synthetic.BenchmarkProfile`
 provides to the system builder: a name, a per-core trace iterator, and
-a prewarm stream.
+a prewarm stream of (addresses, writes) chunks.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
 from ..cpu.trace import TraceRecord, read_trace
+from .synthetic import CHUNK, PrewarmChunk
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,31 @@ class TraceWorkload:
 
         return rebased()
 
-    def prewarm_stream(self, seed: int, base_address: int) -> Iterator[TraceRecord]:
-        """Leading records used to warm the L2 (bounded)."""
-        return itertools.islice(
+    @property
+    def reads_file(self) -> bool:
+        """True when the stream is read from ``path``.
+
+        The stream is then a function of the file's current content,
+        not of this object's value, so system builds never restore a
+        memoized warm L2 image for it.
+        """
+        return self.records is None
+
+    def prewarm_stream(self, seed: int, base_address: int) -> Iterator[PrewarmChunk]:
+        """Leading references used to warm the L2.
+
+        Yields (addresses, writes) chunks of at most
+        :data:`~repro.workloads.synthetic.CHUNK` references: the first
+        ``prewarm_records`` references of :meth:`make_trace`'s stream.
+        """
+        records = itertools.islice(
             self.make_trace(seed, base_address), self.prewarm_records
         )
+        while True:
+            chunk = list(itertools.islice(records, CHUNK))
+            if not chunk:
+                return
+            yield [r.address for r in chunk], [r.is_write for r in chunk]
 
 
 def workload_from_records(

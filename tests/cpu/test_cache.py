@@ -1,7 +1,7 @@
 """Set-associative cache: hits, LRU, dirty lines, MSHR merging."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.cache import Cache, CacheConfig, L1D_CONFIG, L2_CONFIG, MshrFile
@@ -126,6 +126,34 @@ class TestSnapshotRestore:
         restored.lookup(1, mark_dirty=True)
         restored.fill(3)
         assert image == (((1, False), (2, False)),)
+
+
+#: (line, dirty) references over 64 lines mapping onto a 4-set, 2-way
+#: cache: re-touches, clean-to-dirty upgrades and dirty victims are all
+#: common, and short streams leave sets under-filled.
+REFERENCES = st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=200)
+
+
+class TestWarm:
+    @given(prefill=REFERENCES, stream=REFERENCES)
+    @example(
+        # Set 0 only: under-filled, re-touch, clean->dirty upgrade, then
+        # a dirty victim and a clean one.
+        prefill=[],
+        stream=[(0, False), (0, False), (4, False), (0, True), (8, False),
+                (12, False), (16, True)],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_fill_per_line(self, prefill, stream):
+        batched, reference = small_cache(), small_cache()
+        for cache in (batched, reference):
+            for line, dirty in prefill:
+                cache.fill(line, dirty=dirty)
+        batched.warm([line for line, _ in stream], [dirty for _, dirty in stream])
+        for line, dirty in stream:
+            reference.fill(line, dirty=dirty)
+        assert batched.snapshot() == reference.snapshot()
+        assert batched.writebacks == reference.writebacks
 
 
 class TestCacheInvariants:

@@ -1,30 +1,76 @@
-"""The warm-L2 image memo: a memo hit builds the same system as a cold warm-up."""
+"""Warming each core's L2: cold warm-ups, and the warm-L2 image memo."""
 
 import dataclasses
+import itertools
+
+import pytest
 
 from repro.cpu.cache import CacheConfig
+from repro.cpu.hierarchy import CacheHierarchy
+from repro.cpu.trace import TraceRecord, write_trace
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem, comparable_result
 from repro.workloads.spec2000 import profile
+from repro.workloads.trace_workload import TraceWorkload
 
 MIX = ("vpr", "art", "crafty")
+MANYCORE_MIX = ("crafty", "parser", "vpr", "twolf")
 
 
-def build(config):
-    return CmpSystem(config, [profile(name) for name in MIX])
+def build(config, names=MIX):
+    return CmpSystem(config, [profile(name) for name in names])
 
 
 def l2_images(system):
     return [core.hierarchy.l2.snapshot() for core in system.cores]
 
 
-def cold_build(config):
+def cold_build(config, names=MIX):
     CmpSystem._prewarm_memo.clear()
-    return build(config)
+    return build(config, names)
 
 
 def short_run(system):
     return dataclasses.asdict(comparable_result(system.run(3000, warmup=1000)))
+
+
+def replayed_images(config, names):
+    """Each core's L2 after ``make_trace``'s leading records, one fill each."""
+    images = []
+    for core_id, name in enumerate(names):
+        workload = profile(name)
+        base = core_id * config.thread_address_stride
+        hierarchy = CacheHierarchy(config.l1i, config.l1d, config.l2)
+        touches = min(4 * workload.working_set_lines, 40_000)
+        for record in itertools.islice(workload.make_trace(config.seed, base), touches):
+            hierarchy.l2.fill(hierarchy.line_of(record.address), dirty=record.is_write)
+        images.append(hierarchy.l2.snapshot())
+    return images
+
+
+class TestColdWarmUp:
+    @pytest.mark.parametrize(
+        "names",
+        [("vpr", "art"), ("art", "vpr", "parser", "crafty"), MANYCORE_MIX * 4],
+        ids=["pair", "quad", "tiled16"],
+    )
+    def test_cold_build_matches_record_replay(self, names):
+        config = SystemConfig(num_cores=len(names), seed=5)
+        assert l2_images(cold_build(config, names)) == replayed_images(config, names)
+
+
+class TestFileBackedTraces:
+    def test_rewritten_trace_file_is_not_served_a_stale_image(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        workload = TraceWorkload(name="filed", path=path)
+        config = SystemConfig(num_cores=1)
+        write_trace(path, [TraceRecord(10, False, i * 64) for i in range(500)])
+        first = l2_images(CmpSystem(config, [workload]))
+        write_trace(path, [TraceRecord(10, True, (i + 9000) * 64) for i in range(500)])
+        second = l2_images(CmpSystem(config, [workload]))
+        assert second != first
+        CmpSystem._prewarm_memo.clear()
+        assert second == l2_images(CmpSystem(config, [workload]))
 
 
 class TestPrewarmMemo:

@@ -118,6 +118,29 @@ class TestGeneratorProtocol:
         for _ in range(10_000):
             next(generator)
 
+    def test_rejects_negative_base_address(self):
+        with pytest.raises(ValueError):
+            SyntheticTraceGenerator(profile(), seed=1, base_address=-64)
+
+    def test_stream_does_not_depend_on_draw_sizes(self):
+        whole = SyntheticTraceGenerator(profile(), seed=4).draw(3000)
+        split = SyntheticTraceGenerator(profile(), seed=4)
+        parts = [split.draw(n) for n in (1, 999, 2000)]
+        for column, pieces in zip(whole, zip(*parts)):
+            assert column == [value for piece in pieces for value in piece]
+
+    def test_prewarm_stream_is_the_leading_slice_of_the_trace(self):
+        p = profile(working_set_lines=1000)  # 4,000 references, many chunks
+        chunks = list(p.prewarm_stream(seed=2, base_address=1 << 34))
+        assert len(chunks) > 1
+        records = p.make_trace(seed=2, base_address=1 << 34).take(4000)
+        assert [a for addresses, _ in chunks for a in addresses] == [
+            r.address for r in records
+        ]
+        assert [w for _, writes in chunks for w in writes] == [
+            r.is_write for r in records
+        ]
+
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_all_records_valid(self, seed):

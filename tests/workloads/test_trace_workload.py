@@ -38,10 +38,19 @@ class TestReplay:
 
     def test_base_address_rebases(self):
         workload = workload_from_records("t", streaming_records(3))
-        rebased = list(
-            r.address for r in workload.prewarm_stream(seed=0, base_address=1 << 20)
-        )
-        assert all(a >= 1 << 20 for a in rebased)
+        chunks = list(workload.prewarm_stream(seed=0, base_address=1 << 20))
+        rebased = [a for addresses, _ in chunks for a in addresses]
+        assert rebased == [(1 << 20) + i * 64 for i in range(3)] * (10_000 // 3) + [
+            1 << 20
+        ]
+
+    def test_prewarm_chunks_carry_store_flags(self):
+        records = streaming_records(10)
+        workload = TraceWorkload(name="t", records=records, prewarm_records=7)
+        chunks = list(workload.prewarm_stream(seed=0, base_address=0))
+        assert chunks == [
+            ([r.address for r in records[:7]], [r.is_write for r in records[:7]])
+        ]
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "trace.txt"
