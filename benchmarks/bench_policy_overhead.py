@@ -2,17 +2,16 @@
 
 The ``repro.policy`` refactor routed every scheduling decision through
 the :class:`~repro.policy.base.SchedulingPolicy` protocol.  For the
-paper's stateless policies the bank scheduler keeps its pre-refactor
-fast path (memoized keys, inlined first-ready loop), so the refactor
-must not cost measurable throughput.  This benchmark measures:
+paper's stateless policies the bank scheduler memoizes keys per
+request, so the refactor must not cost measurable throughput.  This
+benchmark measures:
 
 * the paper policies (FR-FCFS, FQ-VFTF) on both engines — the numbers
   the 0.95x pre-refactor gate applies to;
-* a no-op *hooked* FR-FCFS clone that deliberately takes the generic
-  scheduling path (keys recomputed every pass, all four hooks
+* a no-op *hooked* FR-FCFS clone that deliberately takes the most
+  expensive protocol route (keys recomputed every pass, all four hooks
   dispatched) — the worst-case protocol overhead, tripwired relative
-  to fast-path FR-FCFS within the same run, so the check is
-  machine-independent;
+  to FR-FCFS within the same run, so the check is machine-independent;
 * the stateful policies (BLISS, MISE), recorded for the trajectory.
 
 Everything lands in ``BENCH_policies.json`` at the repository root.
@@ -30,7 +29,6 @@ from conftest import once
 from repro import env
 from repro.obs.manifest import write_bench_record
 from repro.policy import SchedulingPolicy, register
-from repro.policy.packing import SEQ_BITS, TIME_BITS, KeyField
 from repro.sim.runner import default_warmup, run_workload
 from repro.workloads.spec2000 import profile as lookup_profile
 
@@ -45,10 +43,10 @@ ROUNDS = 3
 PRE_REFACTOR_FLOOR = 0.95
 
 #: The deliberately-pessimized hooked clone must stay within this
-#: fraction of fast-path FR-FCFS in the same run.  The generic path
+#: fraction of FR-FCFS in the same run.  Without the key memo it
 #: recomputes priority keys on every scheduling pass, so some cost is
 #: expected; a protocol regression (hook dispatch on the controller
-#: hot path, a broken fast-path guard) shows up far below this.
+#: hot path, a broken memo guard) shows up far below this.
 HOOKED_FLOOR = 0.5
 
 #: Rates measured at the commit preceding the ``repro.policy``
@@ -68,23 +66,11 @@ class _HookedFrFcfs(SchedulingPolicy):
     """FR-FCFS ordering through the most expensive protocol route."""
 
     name = "NOOP-HOOKED"
-    memoize_keys = False  # force the generic recompute-keys path
+    memoize_keys = False  # recompute keys on every scheduling pass
     has_hooks = True      # force all four controller hook sites
 
     def request_key(self, request):
         return (request.arrival_time, request.seq)
-
-    def key_field_specs(self):
-        return (
-            KeyField("arrival_time", TIME_BITS),
-            KeyField("seq", SEQ_BITS),
-        )
-
-    def packed_key(self, request):
-        # memoize_keys stays False, so this runs on every scheduling
-        # pass — exactly the generic-path cost the tripwire measures,
-        # now in its packed-key form.
-        return (request.arrival_time << SEQ_BITS) | request.seq
 
 
 register("NOOP-HOOKED", lambda ctx: _HookedFrFcfs())
@@ -159,12 +145,12 @@ def test_policy_dispatch_overhead(benchmark, cycles):
             assert rate > 0, f"{policy}/{engine} reported non-positive rate"
 
     # Always-on, machine-independent tripwire: the pessimized clone vs
-    # the fast path, measured seconds apart on the same machine.
+    # FR-FCFS, measured seconds apart on the same machine.
     for engine in ENGINES:
         floor = HOOKED_FLOOR * rates["FR-FCFS"][engine]
         assert rates["NOOP-HOOKED"][engine] >= floor, (
-            f"generic policy path under {engine} fell below "
-            f"{HOOKED_FLOOR:.0%} of fast-path FR-FCFS: "
+            f"hooked no-memo policy under {engine} fell below "
+            f"{HOOKED_FLOOR:.0%} of FR-FCFS: "
             f"{rates['NOOP-HOOKED'][engine]:,.0f} vs "
             f"{rates['FR-FCFS'][engine]:,.0f} cyc/s"
         )

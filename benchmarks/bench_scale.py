@@ -1,29 +1,25 @@
-"""Many-core scaling: wake-index engine vs the linear-scan oracle.
+"""Many-core scaling: the event engine vs the per-cycle oracle.
 
-The scan engine's event targeting is O(cores + channels) per event and
-its ``step()`` broadcast-ticks every component, so per-event cost grows
-linearly with the thread count — the loop the ROADMAP names as the
-blocker for 16/64-thread scale-out.  The wake index replaces both loops
-(sharded heap peek for targeting, due-only dispatch for stepping), so
-its per-event cost should stay near-flat as cores are added.
+The event engine reads its next wake from a sharded heap (one shard per
+channel) and ticks only the components that are due, so its per-step
+cost should stay near-flat as cores are added, while the cycle engine
+ticks every component on every cycle.
 
 This benchmark sweeps a synthetic CMP from 4 to 32 cores — a
 moderate-intensity mix (crafty+parser+vpr+twolf) tiled outward, one
-channel per four cores — and times the *same* event engine twice per
-size: once through the wake index and once through the scan oracle
-(``wake_index=False``, the ``REPRO_WAKE_INDEX=0`` path).  The mix
-matters: art-style prefetch streams saturate every channel, so per-step
-cost drowns in scheduler work both engines share; the irregular/ILP
-four keep channels active but unsaturated, which is exactly the regime
-where the engines' own per-component overhead — the quantity under
-test — dominates.  Both runs produce bit-identical
-results (the differential suites enforce it), so the per-step wall cost
-is directly comparable.  Rates, per-step costs, and engine internals
-land in ``BENCH_scale.json`` at the repository root.
+channel per four cores — and times the *same* workload on both engines
+per size.  The mix matters: art-style prefetch streams saturate every
+channel, so per-cycle cost drowns in scheduler work both engines share;
+the irregular/ILP four keep channels active but unsaturated, which is
+exactly the regime where the engines' own per-component overhead — the
+quantity under test — dominates.  Both runs produce bit-identical
+results (the differential suites enforce it), so their rates are
+directly comparable.  Rates, per-step costs, and engine internals land
+in ``BENCH_scale.json`` at the repository root.
 
 Run length follows ``REPRO_SIM_CYCLES`` scaled down 4x (32-core runs
 are heavy); CI smokes it shorter still.  The tripwire: at 16 cores the
-indexed engine must beat the scan oracle outright, and under
+event engine must beat the cycle engine outright, and under
 ``REPRO_BENCH_STRICT=1`` by at least ``STRICT_SPEEDUP_FLOOR``.
 """
 
@@ -45,7 +41,7 @@ POLICY = "FQ-VFTF"
 #: Cores per memory channel (each channel is one wake-index shard).
 CORES_PER_CHANNEL = 4
 
-#: At 16 cores the indexed engine must beat the scan oracle by this
+#: At 16 cores the event engine must beat the cycle engine by this
 #: factor before the strict (full-window) run is considered healthy.
 STRICT_SPEEDUP_FLOOR = 1.5
 TRIPWIRE_CORES = 16
@@ -53,7 +49,7 @@ TRIPWIRE_CORES = 16
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_scale.json"
 
 
-def _build(num_cores: int, wake_index: bool) -> CmpSystem:
+def _build(num_cores: int, engine: str) -> CmpSystem:
     profiles = [
         lookup_profile(MIX[i % len(MIX)]) for i in range(num_cores)
     ]
@@ -61,30 +57,31 @@ def _build(num_cores: int, wake_index: bool) -> CmpSystem:
         policy=POLICY,
         num_cores=num_cores,
         num_channels=max(1, num_cores // CORES_PER_CHANNEL),
-        engine="event",
+        engine=engine,
     )
-    return CmpSystem(config, profiles, wake_index=wake_index)
+    return CmpSystem(config, profiles)
 
 
-def _measure(num_cores: int, wake_index: bool, cycles: int):
+def _measure(num_cores: int, engine: str, cycles: int):
     warmup = default_warmup(cycles)
-    system = _build(num_cores, wake_index)
+    system = _build(num_cores, engine)
     start = perf_counter()
     result = system.run(cycles, warmup=warmup)
     elapsed = perf_counter() - start
     extras = result.extras
-    steps = extras.get("engine_steps", 0.0) or 1.0
+    # The cycle engine steps every cycle and reports no engine extras.
+    steps = extras.get("engine_steps", 0.0) or float(cycles + warmup)
     row = {
         "cycles_per_second": round((cycles + warmup) / elapsed, 1),
         "us_per_step": round(1e6 * elapsed / steps, 3),
         "engine_steps": int(steps),
-        "skip_ratio": round(extras.get("engine_skip_ratio", 0.0), 4),
-        "target_calls_per_step": round(
-            extras.get("engine_event_target_calls", 0.0) / steps, 4
-        ),
     }
-    if wake_index:
+    if engine == "event":
         publishes = extras.get("engine_wake_publishes", 0.0) or 1.0
+        row["skip_ratio"] = round(extras.get("engine_skip_ratio", 0.0), 4)
+        row["target_calls_per_step"] = round(
+            extras.get("engine_event_target_calls", 0.0) / steps, 4
+        )
         row["stale_pop_rate"] = round(
             extras.get("engine_stale_pops", 0.0) / publishes, 4
         )
@@ -97,13 +94,13 @@ def _measure(num_cores: int, wake_index: bool, cycles: int):
 def _measure_all(cycles: int):
     sweep = {}
     for num_cores in CORE_COUNTS:
-        indexed = _measure(num_cores, True, cycles)
-        scan = _measure(num_cores, False, cycles)
+        event = _measure(num_cores, "event", cycles)
+        cycle = _measure(num_cores, "cycle", cycles)
         sweep[str(num_cores)] = {
-            "indexed": indexed,
-            "scan": scan,
+            "event": event,
+            "cycle": cycle,
             "speedup": round(
-                indexed["cycles_per_second"] / scan["cycles_per_second"], 3
+                event["cycles_per_second"] / cycle["cycles_per_second"], 3
             ),
         }
     return sweep
@@ -117,12 +114,12 @@ def test_engine_scaling(benchmark, cycles):
     sweep = once(benchmark, lambda: _measure_all(window))
     print()
     for num_cores, row in sweep.items():
-        idx, scan = row["indexed"], row["scan"]
+        event, cycle = row["event"], row["cycle"]
         print(
-            f"  {num_cores:>3s} cores  indexed {idx['us_per_step']:7.2f} us/step"
-            f"  scan {scan['us_per_step']:7.2f} us/step"
+            f"  {num_cores:>3s} cores  event {event['cycles_per_second']:9,.0f} cyc/s"
+            f"  cycle {cycle['cycles_per_second']:9,.0f} cyc/s"
             f"  speedup {row['speedup']:.2f}x"
-            f"  sparse ticks {idx['sparse_tick_fraction']:.1%}"
+            f"  sparse ticks {event['sparse_tick_fraction']:.1%}"
         )
 
     write_bench_record(
@@ -141,11 +138,12 @@ def test_engine_scaling(benchmark, cycles):
 
     tripwire = sweep[str(TRIPWIRE_CORES)]
     assert tripwire["speedup"] > 1.0, (
-        f"wake index slower than the scan oracle at {TRIPWIRE_CORES} "
+        f"event engine slower than the cycle engine at {TRIPWIRE_CORES} "
         f"cores: {tripwire['speedup']:.2f}x"
     )
     if env.flag("REPRO_BENCH_STRICT"):
         assert tripwire["speedup"] >= STRICT_SPEEDUP_FLOOR, (
-            f"wake index below the {STRICT_SPEEDUP_FLOOR:.1f}x floor at "
-            f"{TRIPWIRE_CORES} cores: {tripwire['speedup']:.2f}x"
+            f"event engine below the {STRICT_SPEEDUP_FLOOR:.1f}x floor over "
+            f"the cycle engine at {TRIPWIRE_CORES} cores: "
+            f"{tripwire['speedup']:.2f}x"
         )

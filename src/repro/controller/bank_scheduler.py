@@ -16,32 +16,24 @@ commits to the earliest-virtual-finish-time request once the bank has
 been active for ``x`` cycles, bounding priority-inversion blocking
 time at the cost of some data-bus utilization.
 
-Two hot-path mechanisms keep selection cheap (docs/INTERNALS.md,
-"Hot-path kernels"):
-
-* **Packed keys** — policies that declare a key layout
-  (``key_field_specs``) are compared as single ints; the full priority
-  ``ready → CAS-over-RAS → key`` becomes one integer with penalty bits
-  above the key width, so the selection loop does one C-level compare
-  per request.  Policies without a layout (and every policy under
-  ``REPRO_PACKED_KEYS=0``) run the original tuple loops, which remain
-  the differential oracle.
-* **Queue-shape counters** — the scheduler maintains read/write and
-  row-hit counts, so "which command kinds does this bank need?"
-  (:meth:`kind_mask`) is O(1) and wake bounds come from the DRAM
-  system's batched legality kernel instead of a queue walk.
+Selection is one method, :meth:`BankScheduler.candidate`, for every
+policy (docs/INTERNALS.md, "Hot-path kernels").  The scheduler keeps
+read/write and row-hit counts over its queue, so the common queue
+shapes (closed bank, conflicts only, all-hit reads) pick the min-key
+request under one readiness probe, "which command kinds does this bank
+need?" (:meth:`kind_mask`) is O(1), and wake bounds come from the DRAM
+system's legality kernel instead of a queue walk.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core.vtms import VtmsState
 from ..dram.commands import CommandType
 from ..dram.dram_system import DramSystem
 from ..dram.legality import MASK_ACT, MASK_PRE, MASK_READ, MASK_WRITE
 from ..policy.base import SchedulingPolicy
-from ..policy.packing import packed_keys_enabled, total_bits
 from .request import MemoryRequest
 
 
@@ -67,7 +59,7 @@ class CandidateCommand:
         bank: int,
         row: int,
         ready: bool,
-        key: object,
+        key: Tuple,
         request: Optional[MemoryRequest],
         charge_thread: Optional[int],
         charge_arrival: float,
@@ -77,10 +69,9 @@ class CandidateCommand:
         self.bank = bank
         self.row = row
         self.ready = ready
-        #: Policy ordering key of the request being served (lower =
-        #: higher priority): a packed int on the packed-key path, the
-        #: policy's ordering tuple otherwise.  Auto-precharges sort
-        #: after all request-driven work in either representation.
+        #: Policy ordering tuple of the request being served (lower =
+        #: higher priority).  Auto-precharges sort after all
+        #: request-driven work.
         self.key = key
         self.request = request
         #: Thread charged for this command in the VTMS update (the
@@ -98,8 +89,7 @@ class CandidateCommand:
         )
 
 
-#: Ordering key that sorts auto-precharge candidates after any request
-#: (tuple path; the packed path uses ``1 << key_bits``).
+#: Ordering key that sorts auto-precharge candidates after any request.
 _AUTO_PRECHARGE_KEY = (float("inf"),)
 
 #: Wake bound meaning "this bank has no work at all"; stays cached
@@ -149,8 +139,9 @@ class BankScheduler:
         self.telemetry = None
         #: Optional policy-key memo counters (repro.obs); None in
         #: normal runs.  RunObs.attach also rebinds ``_request_key`` /
-        #: ``_key_of`` to counting closures, so only the two loops that
-        #: inline the memo consult this attribute directly.
+        #: ``_key_of`` to counting closures, so only the loop in
+        #: :meth:`candidate`, which inlines the memo, consults this
+        #: attribute directly.
         self.obs_keys = None
         self.queue: List[MemoryRequest] = []
         #: Queue-shape counters over the FULL queue (ignoring the
@@ -181,28 +172,9 @@ class BankScheduler:
         self._scan_global = -1
         self._scan_row = -1
         self._scan_queue = -1
-        #: Packed-key path: the policy declares a key layout and packed
-        #: keys are enabled.  Penalty bits sit above the key width so
-        #: the full priority (ready, CAS-over-RAS, key) is one int.
-        specs = policy.key_field_specs()
-        self._packed = specs is not None and packed_keys_enabled()
-        if self._packed:
-            bits = total_bits(specs)
-            self._key_bits = bits
-            self._auto_key: object = 1 << bits
-            self._cas_pen = 1 << (bits + 1)
-            self._ready_pen = 1 << (bits + 2)
-            self._sort_limit = 1 << (bits + 3)
-            self._key_of = policy.packed_key
-            if policy.memoize_keys and not policy.key_over_cas:
-                self.candidate = self._candidate_packed  # type: ignore[method-assign]
-            else:
-                self.candidate = self._candidate_packed_generic  # type: ignore[method-assign]
-        else:
-            self._auto_key = _AUTO_PRECHARGE_KEY
-            self._key_of = policy.request_key
-            if not (policy.memoize_keys and not policy.key_over_cas):
-                self.candidate = self._candidate_generic  # type: ignore[method-assign]
+        #: The policy's key function; RunObs.attach may rebind it to a
+        #: counting wrapper.
+        self._key_of = policy.request_key
         if not policy.memoize_keys:
             self._request_key = self._key_of  # type: ignore[method-assign]
         if policy.uses_vtms and vtms is None:
@@ -263,8 +235,8 @@ class BankScheduler:
     def _bank_state(self):
         return self._bank
 
-    def _request_key(self, request: MemoryRequest) -> object:
-        """Policy ordering key (packed int or tuple), memoized per request.
+    def _request_key(self, request: MemoryRequest) -> Tuple:
+        """Policy ordering key, memoized per request.
 
         FR-FCFS keys are fixed at arrival; VTMS keys change only when
         :meth:`_refresh_finish_times` recomputes a request's estimate,
@@ -375,16 +347,11 @@ class BankScheduler:
             bank=self.bank,
             row=bank.open_row,
             ready=ready,
-            key=self._auto_key,
+            key=_AUTO_PRECHARGE_KEY,
             request=None,
             charge_thread=self.open_row_thread,
             charge_arrival=self.open_row_arrival,
         )
-
-    def _visible(self) -> List[MemoryRequest]:
-        if self.writes_eligible:
-            return self.queue
-        return [r for r in self.queue if r.is_read]
 
     def _min_key_request(self, visible: List[MemoryRequest]) -> MemoryRequest:
         if len(visible) == 1:
@@ -393,7 +360,9 @@ class BankScheduler:
 
     # -- candidate selection ---------------------------------------------------
 
-    def candidate(self, now: int, draining_for_refresh: bool = False) -> Optional[CandidateCommand]:
+    def candidate(
+        self, now: int, draining_for_refresh: bool = False
+    ) -> Optional[CandidateCommand]:
         """Nominate this bank's best candidate command at cycle ``now``.
 
         Args:
@@ -402,439 +371,125 @@ class BankScheduler:
                 stops opening new rows and precharges idle open rows so
                 the refresh can start.
 
-        This default body is the tuple-path fast loop (memoizable keys,
-        CAS-over-RAS below ready).  Construction rebinds ``candidate``
-        to a packed-int or generic variant when the policy calls for
-        one; all variants select identically.
+        First-ready selection orders requests by (not ready, RAS
+        penalty, key): ready commands first, then CAS before RAS, then
+        the policy's ordering key.  Under ``key_over_cas`` (BLISS) the
+        RAS penalty is held at zero, so the key outranks the
+        CAS-over-RAS preference.  The queue-shape counters collapse the
+        single-kind shapes (closed bank, conflict-only queue, all-hit
+        reads) to the min-key request under one readiness probe; only
+        mixed queues take the full pass.
         """
-        bank = self._bank_state()
-        if (
-            self.policy.uses_vtms
-            and not self.policy.arrival_accounting
-            and self.queue
-        ):
+        bank = self._bank
+        policy = self.policy
+        queue = self.queue
+        if policy.uses_vtms and not policy.arrival_accounting and queue:
             self._refresh_finish_times()
+        self._ensure_counts()
 
         # Write-drain gating: when writes are held back, schedule as if
         # only the reads were queued.
-        visible = self._visible()
-
-        has_row_work = bank.open_row is not None and any(
-            r.row == bank.open_row for r in visible
-        )
-        if not visible or (bank.open_row is not None and not has_row_work):
+        eligible = self.writes_eligible
+        n_vis = self._n_read + self._n_write if eligible else self._n_read
+        open_row = bank.open_row
+        if n_vis == 0:
             # Row exhausted (or queue empty): close it under the
             # closed-page policy, or when a refresh needs the banks.
-            if self.row_policy == "closed" or draining_for_refresh:
-                auto = self._auto_precharge(now)
-                if auto is not None and not visible:
-                    return auto
-            # With conflicting requests queued, fall through: the
-            # winning request's own precharge carries its priority.
-
-        if not visible:
+            if open_row is not None and (
+                self.row_policy == "closed" or draining_for_refresh
+            ):
+                return self._auto_precharge(now)
             return None
+        visible = queue if eligible else [r for r in queue if r.is_read]
 
-        if draining_for_refresh and bank.open_row is None:
-            # Hold activates while a refresh is waiting to start.
-            return None
-
-        if (
-            self.policy.fq_bank_rule
-            and bank.open_row is not None
+        if open_row is None:
+            if draining_for_refresh:
+                # Hold activates while a refresh is waiting to start.
+                return None
+            kind = CommandType.ACTIVATE
+        elif (
+            policy.fq_bank_rule
             and now - bank.last_activate >= self.inversion_bound
         ):
             # FQ bank rule: commit to the earliest-virtual-finish-time
             # request and wait for its first command to become ready,
             # even if other requests (e.g. row hits) are ready now.
-            chosen = self._min_key_request(visible)
-            return self._candidate_for(chosen, now)
-
-        # First-ready selection: prefer ready commands, then CAS over
-        # RAS, then the policy's ordering key.  The winner alone gets a
-        # CandidateCommand; per-request work is a kind lookup (pure
-        # bank-state function) plus one shared readiness probe per
-        # distinct command kind (at most three per bank).
-        open_row = bank.open_row
-        ready_by_kind: dict = {}
-        best_request: Optional[MemoryRequest] = None
-        best_sort: Optional[Tuple] = None
-        best_kind: Optional[CommandType] = None
-        activate, precharge = CommandType.ACTIVATE, CommandType.PRECHARGE
-        read, write = CommandType.READ, CommandType.WRITE
-        can_issue = self.dram.can_issue
-        key_of = self._key_of
-        obs_keys = self.obs_keys
-        for request in visible:
-            if open_row is None:
-                kind = activate
-            elif open_row == request.row:
-                kind = read if request.is_read else write
+            return self._candidate_for(self._min_key_request(visible), now)
+        else:
+            hits = (
+                self._n_read_hit + self._n_write_hit
+                if eligible
+                else self._n_read_hit
+            )
+            if hits == 0:
+                kind = CommandType.PRECHARGE
+            elif hits == n_vis and (not eligible or self._n_write_hit == 0):
+                kind = CommandType.READ
             else:
-                kind = precharge
-            ready = ready_by_kind.get(kind)
-            if ready is None:
-                ready = can_issue(kind, self.rank, self.bank, now)
-                ready_by_kind[kind] = ready
-            key = request.key_cache
-            if key is None:
-                key = key_of(request)
-                request.key_cache = key
-                if obs_keys is not None:
-                    obs_keys.misses += 1
-            elif obs_keys is not None:
-                obs_keys.hits += 1
-            sort = (not ready, not kind.is_cas, key)
-            if best_sort is None or sort < best_sort:
-                best_request, best_sort, best_kind = request, sort, kind
-        assert best_request is not None and best_sort is not None
-        return self._candidate_for(
-            best_request, now, kind=best_kind, ready=not best_sort[0]
-        )
-
-    def _candidate_packed(
-        self, now: int, draining_for_refresh: bool = False
-    ) -> Optional[CandidateCommand]:
-        """Packed-int selection for memoizable, CAS-over-RAS policies.
-
-        Selects identically to :meth:`candidate`: the ready and
-        CAS-over-RAS levels become penalty bits above the key width, so
-        the three-way tuple compare collapses into one int compare.
-        The queue-shape counters collapse the common single-kind cases
-        (closed bank, all-hit read bursts, conflict-only queues) to a
-        plain min over memoized keys with one shared readiness probe.
-        """
-        bank = self._bank
-        policy = self.policy
-        queue = self.queue
-        if policy.uses_vtms and not policy.arrival_accounting and queue:
-            self._refresh_finish_times()
-        self._ensure_counts()
-
-        eligible = self.writes_eligible
-        n_vis = self._n_read + self._n_write if eligible else self._n_read
-        open_row = bank.open_row
-
-        if open_row is None:
-            if n_vis == 0 or draining_for_refresh:
-                return None
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            # Closed bank: every candidate is an activate; the winner is
-            # the min-key request under one shared readiness probe.
-            chosen = self._min_key_request(visible)
-            ready = self.dram.can_issue(
-                CommandType.ACTIVATE, self.rank, self.bank, now
-            )
+                kind = None
+        if kind is not None:
+            # Single-kind queue (closed bank, conflicts only, or all-hit
+            # reads): every candidate shares one command kind and one
+            # readiness, so the min-key request wins.
+            ready = self.dram.can_issue(kind, self.rank, self.bank, now)
             return self._candidate_for(
-                chosen, now, kind=CommandType.ACTIVATE, ready=ready
+                self._min_key_request(visible), now, kind=kind, ready=ready
             )
 
-        vis_hits = (
-            self._n_read_hit + self._n_write_hit
-            if eligible
-            else self._n_read_hit
-        )
-        if n_vis == 0:
-            if self.row_policy == "closed" or draining_for_refresh:
-                return self._auto_precharge(now)
-            return None
-
-        if (
-            policy.fq_bank_rule
-            and now - bank.last_activate >= self.inversion_bound
-        ):
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            chosen = self._min_key_request(visible)
-            return self._candidate_for(chosen, now)
-
-        if vis_hits == 0:
-            # Every visible request conflicts with the open row: all
-            # candidates are precharges, so the min-key request wins.
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            chosen = self._min_key_request(visible)
-            ready = self.dram.can_issue(
-                CommandType.PRECHARGE, self.rank, self.bank, now
-            )
-            return self._candidate_for(
-                chosen, now, kind=CommandType.PRECHARGE, ready=ready
-            )
-
-        if vis_hits == n_vis and (not eligible or self._n_write_hit == 0):
-            # All-hit, all-read: the dominant streaming case.
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            chosen = self._min_key_request(visible)
-            ready = self.dram.can_issue(
-                CommandType.READ, self.rank, self.bank, now
-            )
-            return self._candidate_for(
-                chosen, now, kind=CommandType.READ, ready=ready
-            )
-
-        # Mixed kinds: one pass, one int compare per request.  Lazily
-        # computed per-kind penalty prefixes share the readiness probes.
-        visible = queue if eligible else [r for r in queue if r.is_read]
+        # Mixed kinds on an open row: one pass.  Each request's level
+        # is 2 * (not ready) + RAS penalty, probed once per kind, and
+        # ties on level fall to the policy key.
         rank, bank_index = self.rank, self.bank
         can_issue = self.dram.can_issue
         key_of = self._key_of
+        memoize = policy.memoize_keys
         obs_keys = self.obs_keys
-        ready_pen = self._ready_pen
-        cas_pen = self._cas_pen
-        read_p = write_p = pre_p = -1
-        best_request: Optional[MemoryRequest] = None
-        best_kind: Optional[CommandType] = None
-        best_sort = self._sort_limit
-        activate, precharge = CommandType.ACTIVATE, CommandType.PRECHARGE
+        ras = 0 if policy.key_over_cas else 1
         read, write = CommandType.READ, CommandType.WRITE
-        for request in visible:
-            if request.row == open_row:
-                if request.is_read:
-                    kind = read
-                    p = read_p
-                    if p < 0:
-                        p = (
-                            0
-                            if can_issue(read, rank, bank_index, now)
-                            else ready_pen
-                        )
-                        read_p = p
-                else:
-                    kind = write
-                    p = write_p
-                    if p < 0:
-                        p = (
-                            0
-                            if can_issue(write, rank, bank_index, now)
-                            else ready_pen
-                        )
-                        write_p = p
-            else:
-                kind = precharge
-                p = pre_p
-                if p < 0:
-                    p = (
-                        cas_pen
-                        if can_issue(precharge, rank, bank_index, now)
-                        else cas_pen + ready_pen
-                    )
-                    pre_p = p
-            key = request.key_cache
-            if key is None:
-                key = key_of(request)
-                request.key_cache = key
-                if obs_keys is not None:
-                    obs_keys.misses += 1
-            elif obs_keys is not None:
-                obs_keys.hits += 1
-            sort = p + key
-            if sort < best_sort:
-                best_request, best_sort, best_kind = request, sort, kind
-        assert best_request is not None
-        return self._candidate_for(
-            best_request, now, kind=best_kind, ready=best_sort < ready_pen
-        )
-
-    def _candidate_packed_generic(
-        self, now: int, draining_for_refresh: bool = False
-    ) -> Optional[CandidateCommand]:
-        """Packed-int selection for non-memoizable / key-over-CAS policies.
-
-        Same structure as :meth:`_candidate_packed` but keys are
-        recomputed every pass (BLISS's blacklist, MISE's snapshot) and
-        ``key_over_cas`` drops the CAS penalty bit so the policy key
-        outranks the CAS-over-RAS preference.
-        """
-        bank = self._bank
-        policy = self.policy
-        queue = self.queue
-        if policy.uses_vtms and not policy.arrival_accounting and queue:
-            self._refresh_finish_times()
-        self._ensure_counts()
-
-        eligible = self.writes_eligible
-        n_vis = self._n_read + self._n_write if eligible else self._n_read
-        open_row = bank.open_row
-
-        if open_row is None:
-            if n_vis == 0 or draining_for_refresh:
-                return None
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            chosen = self._min_key_request(visible)
-            ready = self.dram.can_issue(
-                CommandType.ACTIVATE, self.rank, self.bank, now
-            )
-            return self._candidate_for(
-                chosen, now, kind=CommandType.ACTIVATE, ready=ready
-            )
-
-        vis_hits = (
-            self._n_read_hit + self._n_write_hit
-            if eligible
-            else self._n_read_hit
-        )
-        if n_vis == 0:
-            if self.row_policy == "closed" or draining_for_refresh:
-                return self._auto_precharge(now)
-            return None
-
-        if (
-            policy.fq_bank_rule
-            and now - bank.last_activate >= self.inversion_bound
-        ):
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            chosen = self._min_key_request(visible)
-            return self._candidate_for(chosen, now)
-
-        if vis_hits == 0:
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            chosen = self._min_key_request(visible)
-            ready = self.dram.can_issue(
-                CommandType.PRECHARGE, self.rank, self.bank, now
-            )
-            return self._candidate_for(
-                chosen, now, kind=CommandType.PRECHARGE, ready=ready
-            )
-
-        if vis_hits == n_vis and (not eligible or self._n_write_hit == 0):
-            visible = queue if eligible else [r for r in queue if r.is_read]
-            chosen = self._min_key_request(visible)
-            ready = self.dram.can_issue(
-                CommandType.READ, self.rank, self.bank, now
-            )
-            return self._candidate_for(
-                chosen, now, kind=CommandType.READ, ready=ready
-            )
-
-        visible = queue if eligible else [r for r in queue if r.is_read]
-        rank, bank_index = self.rank, self.bank
-        can_issue = self.dram.can_issue
-        key_of = self._key_of
-        ready_pen = self._ready_pen
-        cas_pen = 0 if policy.key_over_cas else self._cas_pen
-        read_p = write_p = pre_p = -1
-        best_request: Optional[MemoryRequest] = None
-        best_kind: Optional[CommandType] = None
-        best_sort = self._sort_limit
         precharge = CommandType.PRECHARGE
-        read, write = CommandType.READ, CommandType.WRITE
+        read_level = write_level = pre_level = -1
+        best_request = visible[0]
+        best_kind = precharge
+        best_level = 4
+        best_key: Any = None
         for request in visible:
-            if request.row == open_row:
-                if request.is_read:
-                    kind = read
-                    p = read_p
-                    if p < 0:
-                        p = (
-                            0
-                            if can_issue(read, rank, bank_index, now)
-                            else ready_pen
-                        )
-                        read_p = p
-                else:
-                    kind = write
-                    p = write_p
-                    if p < 0:
-                        p = (
-                            0
-                            if can_issue(write, rank, bank_index, now)
-                            else ready_pen
-                        )
-                        write_p = p
-            else:
+            if request.row != open_row:
                 kind = precharge
-                p = pre_p
-                if p < 0:
-                    p = (
-                        cas_pen
-                        if can_issue(precharge, rank, bank_index, now)
-                        else cas_pen + ready_pen
+                level = pre_level
+                if level < 0:
+                    level = pre_level = (
+                        ras if can_issue(precharge, rank, bank_index, now) else ras + 2
                     )
-                    pre_p = p
-            sort = p + key_of(request)
-            if sort < best_sort:
-                best_request, best_sort, best_kind = request, sort, kind
-        assert best_request is not None
-        return self._candidate_for(
-            best_request, now, kind=best_kind, ready=best_sort < ready_pen
-        )
-
-    def _candidate_generic(
-        self, now: int, draining_for_refresh: bool = False
-    ) -> Optional[CandidateCommand]:
-        """Generic tuple-path selection for policies off the fast path.
-
-        Construction rebinds :meth:`candidate` here when the policy's
-        keys read mutable state (recomputed on every pass, no
-        per-request memo) or rank above the CAS-over-RAS preference
-        (``key_over_cas``; ready commands still rank above not-ready
-        ones) and no packed-key layout is in effect.  The prologue
-        mirrors :meth:`candidate` exactly.
-        """
-        bank = self._bank_state()
-        if (
-            self.policy.uses_vtms
-            and not self.policy.arrival_accounting
-            and self.queue
-        ):
-            self._refresh_finish_times()
-
-        visible = self._visible()
-
-        has_row_work = bank.open_row is not None and any(
-            r.row == bank.open_row for r in visible
-        )
-        if not visible or (bank.open_row is not None and not has_row_work):
-            if self.row_policy == "closed" or draining_for_refresh:
-                auto = self._auto_precharge(now)
-                if auto is not None and not visible:
-                    return auto
-
-        if not visible:
-            return None
-
-        if draining_for_refresh and bank.open_row is None:
-            return None
-
-        if (
-            self.policy.fq_bank_rule
-            and bank.open_row is not None
-            and now - bank.last_activate >= self.inversion_bound
-        ):
-            chosen = self._min_key_request(visible)
-            return self._candidate_for(chosen, now)
-
-        open_row = bank.open_row
-        ready_by_kind: dict = {}
-        best_request: Optional[MemoryRequest] = None
-        best_sort: Optional[Tuple] = None
-        best_kind: Optional[CommandType] = None
-        activate, precharge = CommandType.ACTIVATE, CommandType.PRECHARGE
-        read, write = CommandType.READ, CommandType.WRITE
-        can_issue = self.dram.can_issue
-        # _key_of aliases policy.request_key on every non-packed path
-        # (the only paths that bind this variant); going through the
-        # alias lets repro.obs swap in a counting wrapper at attach.
-        policy_key = self._key_of
-        key_over_cas = self.policy.key_over_cas
-        for request in visible:
-            if open_row is None:
-                kind = activate
-            elif open_row == request.row:
-                kind = read if request.is_read else write
+            elif request.is_read:
+                kind = read
+                level = read_level
+                if level < 0:
+                    level = read_level = (
+                        0 if can_issue(read, rank, bank_index, now) else 2
+                    )
             else:
-                kind = precharge
-            ready = ready_by_kind.get(kind)
-            if ready is None:
-                ready = can_issue(kind, self.rank, self.bank, now)
-                ready_by_kind[kind] = ready
-            key = policy_key(request)
-            if key_over_cas:
-                sort = (not ready, key)
+                kind = write
+                level = write_level
+                if level < 0:
+                    level = write_level = (
+                        0 if can_issue(write, rank, bank_index, now) else 2
+                    )
+            if memoize:
+                key = request.key_cache
+                if key is None:
+                    key = key_of(request)
+                    request.key_cache = key
+                    if obs_keys is not None:
+                        obs_keys.misses += 1
+                elif obs_keys is not None:
+                    obs_keys.hits += 1
             else:
-                sort = (not ready, not kind.is_cas, key)
-            if best_sort is None or sort < best_sort:
-                best_request, best_sort, best_kind = request, sort, kind
-        assert best_request is not None and best_sort is not None
+                key = key_of(request)
+            if level < best_level or (level == best_level and key < best_key):
+                best_request, best_kind = request, kind
+                best_level, best_key = level, key
         return self._candidate_for(
-            best_request, now, kind=best_kind, ready=not best_sort[0]
+            best_request, now, kind=best_kind, ready=best_level < 2
         )
 
     # -- wake bounds ---------------------------------------------------------
@@ -974,8 +629,8 @@ class BankScheduler:
     def kind_mask(self) -> int:
         """Legality-kernel mask of the command kinds this bank needs.
 
-        O(1) from the queue-shape counters; mirrors the kind set the
-        candidate loops would derive from a walk over the *visible*
+        O(1) from the queue-shape counters; mirrors the kind set
+        :meth:`candidate` would derive from a walk over the *visible*
         queue (write-drain gate applied), with the auto-precharge of an
         exhausted row folded in as PRECHARGE (``hits == 0`` on an open
         bank).  Zero means the bank has nothing to nominate.
@@ -998,27 +653,12 @@ class BankScheduler:
             mask |= MASK_PRE
         return mask
 
-    def wake_mask(self) -> Optional[int]:
-        """The :meth:`kind_mask` when the plain batched horizon applies.
-
-        ``None`` when this bank's wake bound needs the FQ special cases
-        in :meth:`earliest_possible_issue` (open row under the FQ bank
-        rule) and must be computed scalar.
-        """
-        if (
-            self.policy.fq_bank_rule
-            and self._bank.open_row is not None
-            and self.queue
-        ):
-            return None
-        return self.kind_mask()
-
     def _first_ready_earliest(self, now: int) -> Optional[int]:
         """Min earliest-issue over every candidate command of this bank.
 
         Requests reduce to at most three distinct command kinds in any
         bank state; the kind set comes from the queue-shape counters
-        and the timing min from the batched legality kernel, so no
+        and the timing min from the legality kernel, so no
         queue walk happens here.
         """
         mask = self.kind_mask()

@@ -18,19 +18,11 @@ the cache via :meth:`invalidate` / :meth:`invalidate_all`.  Selection
 is therefore bit-identical to scanning every bank: skipped banks could
 only have contributed non-ready candidates, which the scan discards
 anyway.
-
-On the packed-key path arbitration reuses the bank schedulers' penalty
-encoding: a candidate's channel sort is its packed key plus the
-CAS-penalty bit for RAS commands, so picking the winner is one int
-compare per nominated candidate.  Sleep bounds batch through the
-legality kernel: each pollable bank contributes its O(1) kind mask and
-one vectorized horizon query replaces the per-bank earliest-issue
-walks (banks in FQ special states fall back to the scalar bound).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from .bank_scheduler import BankScheduler, CandidateCommand, IDLE_BOUND
 
@@ -55,22 +47,6 @@ class ChannelScheduler:
             if self.bank_schedulers
             else True
         )
-        #: Packed-key arbitration: all bank schedulers share one policy,
-        #: so one penalty encoding covers every candidate.
-        self._packed = (
-            self.bank_schedulers[0]._packed if self.bank_schedulers else False
-        )
-        self._cas_pen = (
-            self.bank_schedulers[0]._cas_pen if self._packed else 0
-        )
-        #: Batched sleep-bound plumbing: flat bank indices into the
-        #: legality kernel, parallel to ``bank_schedulers``.
-        self._kernel = (
-            self.bank_schedulers[0].dram.kernel
-            if self.bank_schedulers
-            else None
-        )
-        self._flats = [s.vtms_bank_index for s in self.bank_schedulers]
         #: Optional run telemetry (repro.telemetry); None in normal
         #: runs, so arbitration accounting costs one attribute test.
         self.telemetry = None
@@ -90,12 +66,11 @@ class ChannelScheduler:
     ) -> Optional[CandidateCommand]:
         """The highest-priority ready candidate at cycle ``now``, if any."""
         best: Optional[CandidateCommand] = None
-        best_sort = None
+        best_level = 2
+        best_key: Any = None
         bounds = self._bounds
         telemetry = self.telemetry
         cas_first = self._cas_first
-        packed = self._packed
-        cas_pen = self._cas_pen
         ready_seen = 0
         for i, scheduler in enumerate(self.bank_schedulers):
             bound = bounds[i]
@@ -116,18 +91,11 @@ class ChannelScheduler:
                 # non-ready candidates (see the skip-soundness note in
                 # the module docstring).
                 ready_seen += 1
-            if packed:
-                sort = (
-                    cand.key
-                    if (cand.kind.is_cas or not cas_first)
-                    else cas_pen + cand.key
-                )
-            elif cas_first:
-                sort = (not cand.kind.is_cas, cand.key)
-            else:
-                sort = cand.key
-            if best_sort is None or sort < best_sort:
-                best, best_sort = cand, sort
+            # Sort by (RAS penalty, key); the penalty is held at zero
+            # for key-over-CAS policies.
+            level = 1 if cas_first and not cand.kind.is_cas else 0
+            if level < best_level or (level == best_level and cand.key < best_key):
+                best, best_level, best_key = cand, level, cand.key
         if telemetry is not None and best is not None:
             telemetry.on_arbitration(now, ready_seen)
         return best
@@ -138,42 +106,21 @@ class ChannelScheduler:
         Used by the controller's sleep logic right after a fruitless
         :meth:`select`, when every pollable bank's bound is fresh.  A
         cached bound can only be conservative (early), which at worst
-        wakes the controller for a no-op scan.
-
-        Banks without a cached bound are answered in one batched
-        legality-kernel horizon query over their kind masks; only banks
-        in FQ special states (mode switches, committed nominations)
-        compute their bound scalar.  Per-bank clamping to ``now + 1``
-        commutes with the min, so the batch is exact.
+        wakes the controller for a no-op scan.  A bank left without a
+        cached bound (the write-gated committed-FQ state, the only one
+        whose :meth:`BankScheduler.cacheable_wake` is ``None``) has its
+        bound computed here.
         """
         wake: Optional[int] = None
         bounds = self._bounds
-        batch_flats: List[int] = []
-        batch_masks: List[int] = []
-        flats = self._flats
         for i, scheduler in enumerate(self.bank_schedulers):
             bound = bounds[i]
             if bound is None:
-                mask = scheduler.wake_mask()
-                if mask is None:
-                    bound = scheduler.earliest_possible_issue(now)
-                    if bound is None:
-                        continue
-                elif mask == 0:
-                    continue
-                else:
-                    batch_flats.append(flats[i])
-                    batch_masks.append(mask)
+                bound = scheduler.earliest_possible_issue(now)
+                if bound is None:
                     continue
             elif bound >= IDLE_BOUND:
                 continue
             if wake is None or bound < wake:
                 wake = bound
-        if batch_flats:
-            horizon = self._kernel.horizon(batch_flats, batch_masks)
-            if horizon is not None:
-                if horizon <= now:
-                    horizon = now + 1
-                if wake is None or horizon < wake:
-                    wake = horizon
         return wake

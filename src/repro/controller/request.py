@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 
 class RequestKind(enum.Enum):
@@ -70,11 +70,10 @@ class MemoryRequest:
     #: estimate is refreshed only when either moves.  -1 = never set.
     vft_thread_epoch: int = -1
     vft_row_epoch: int = -1
-    #: Memoized policy ordering key (packed int or tuple, per the
-    #: scheduler's key path); invalidated (set to ``None``) whenever the
-    #: finish-time estimate is refreshed.  Policies whose keys are fixed
-    #: at arrival never invalidate it.
-    key_cache: Optional[object] = None
+    #: Memoized policy ordering key; invalidated (set to ``None``)
+    #: whenever the finish-time estimate is refreshed.  Policies whose
+    #: keys are fixed at arrival never invalidate it.
+    key_cache: Optional[Tuple] = None
     cas_issued_at: Optional[int] = None
     completed_at: Optional[int] = None
 

@@ -23,16 +23,6 @@ from typing import Optional, Tuple
 
 from ..controller.request import MemoryRequest
 from ..policy.base import SchedulingPolicy
-from ..policy.packing import (
-    FLOAT_BITS,
-    SEQ_BITS,
-    TIME_BITS,
-    KeyField,
-    float_sort_bits,
-)
-
-#: Shift placing a float VTMS field above ``(arrival_time, seq)``.
-_TAIL_BITS = TIME_BITS + SEQ_BITS
 
 
 @dataclass(frozen=True)
@@ -82,31 +72,6 @@ class Policy(SchedulingPolicy):
                 )
             return (request.virtual_finish_time, request.arrival_time, request.seq)
         return (request.arrival_time, request.seq)
-
-    def key_field_specs(self) -> Tuple[KeyField, ...]:
-        tail = (
-            KeyField("arrival_time", TIME_BITS),
-            KeyField("seq", SEQ_BITS),
-        )
-        if self.uses_vtms:
-            head = (
-                "virtual_start_time"
-                if self.start_time_priority
-                else "virtual_finish_time"
-            )
-            return (KeyField(head, FLOAT_BITS, "float"),) + tail
-        return tail
-
-    def packed_key(self, request: MemoryRequest) -> int:
-        tail = (request.arrival_time << SEQ_BITS) | request.seq
-        if self.uses_vtms:
-            vtime = (
-                request.virtual_start_time
-                if self.start_time_priority
-                else request.virtual_finish_time
-            )
-            return (float_sort_bits(vtime) << _TAIL_BITS) | tail
-        return tail
 
 
 FR_FCFS = Policy(name="FR-FCFS")

@@ -419,7 +419,7 @@ class OooCore:
     # Under the sharded wake index the answer is also *consumed*: the
     # engine pops this core's heap entry when its wake comes due and
     # re-asks only after the next tick (the dirty-republish pass in
-    # ``CmpSystem._event_target_indexed``).  A wake therefore covers
+    # ``CmpSystem._event_target``).  A wake therefore covers
     # exactly the span until the core is next ticked or delivered to —
     # it must not bake in assumptions about state that a fill or an
     # accepted writeback could change in between, because no fresh

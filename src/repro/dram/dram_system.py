@@ -51,8 +51,8 @@ class DramSystem:
         #: Number of banks with an open row; maintained by :meth:`issue`
         #: so the controller's busy probe is O(1).
         self.open_banks = 0
-        #: Batched legality kernel: mirrors the bank/rank/channel timing
-        #: state as flat arrays and answers every earliest-issue query.
+        #: Legality kernel: mirrors the bank/rank/channel timing state
+        #: as flat lists and answers every earliest-issue query.
         #: Valid only while mutations flow through :meth:`issue` and
         #: :meth:`try_start_refresh` (see its invalidation rules).
         self.kernel = LegalityKernel(self)
@@ -125,8 +125,8 @@ class DramSystem:
         """Earliest cycle ``kind`` may issue to (rank, bank), or None.
 
         Combines bank-state legality with bank, rank, and channel
-        timing via the batched :class:`~repro.dram.legality.
-        LegalityKernel` mirrors.  Refresh blackouts are handled by the
+        timing via the :class:`~repro.dram.legality.LegalityKernel`
+        mirrors.  Refresh blackouts are handled by the
         caller via :meth:`in_refresh`, since their start time is not
         yet known.
         """

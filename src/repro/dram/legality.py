@@ -1,16 +1,15 @@
-"""Batched command-legality kernel: earliest-legal-issue as arrays.
+"""Command-legality kernel: earliest-legal-issue from flat mirrors.
 
 The original legality path answered "when may command X issue to
 (rank, bank)?" by walking three objects per query — bank, rank,
 channel — recombining the same timing terms every time.  This kernel
 keeps the *combined-component* form of that computation as flat
-per-bank arrays plus a handful of rank/channel scalars, updated
+per-bank lists plus a handful of rank/channel scalars, updated
 incrementally on each issued command (an issue changes one bank's
 components, at most one rank's scalars, and the channel scalars).  A
-scalar query is then a couple of list indexes and ``max`` folds, and
-the batched :meth:`horizon` collapses "earliest possible issue across
-all banks of the channel" — the quantity the event engine's wake logic
-needs — into a single vector min.
+query is then a couple of list indexes and ``max`` folds, and
+:meth:`~LegalityKernel.earliest_by_mask` answers "earliest issue of
+any command kind this bank needs" in one call.
 
 Components per flat bank index ``i = rank * num_banks + bank``
 (``None`` = the bank's state forbids the command):
@@ -36,99 +35,33 @@ objects directly (some unit tests do) must call :meth:`sync_all`
 before querying the kernel.  ``DramSystem.earliest_issue_reference``
 retains the original object-walking combine as the oracle the
 differential tests pin this kernel against.
-
-Two interchangeable backends drive the batched min: ``numpy`` (a
-vector min over cached int64 arrays, rebuilt lazily per mutation
-generation) and pure-``python`` (a plain loop over the same lists).
-numpy remains an optional extra — ``auto`` selects it only when it
-imports *and* the channel is wide enough for vectorization to win
-(the paper's 8-bank config is not); `REPRO_LEGALITY_BACKEND` forces
-either backend, and both must agree bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
-from .. import env
 from .commands import CommandType
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
     from .dram_system import DramSystem
 
-#: Kind-selection bits for :meth:`LegalityKernel.earliest_by_mask` /
-#: :meth:`LegalityKernel.horizon`.
+#: Kind-selection bits for :meth:`LegalityKernel.earliest_by_mask`.
 MASK_ACT = 1
 MASK_PRE = 2
 MASK_READ = 4
 MASK_WRITE = 8
 
-#: "Forbidden / no work" sentinel inside the numpy arrays; larger than
-#: any reachable cycle count, small enough that int64 max-folds with
-#: real timing terms cannot overflow.
-FORBID = 1 << 60
-
-#: Flat-bank count at or above which ``auto`` prefers the numpy
-#: backend; below it the per-call array overhead loses to the loop.
-AUTO_NUMPY_MIN_BANKS = 32
-
-_np = None
-_np_checked = False
-
-
-def _numpy():
-    """The numpy module, or None (numpy is strictly optional)."""
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:  # pragma: no cover - exercised via the no-numpy CI leg
-            import numpy
-        except ImportError:
-            numpy = None
-        _np = numpy
-    return _np
-
-
-def resolve_backend(num_flat_banks: int, choice: Optional[str] = None) -> str:
-    """Pick the batched backend: ``"numpy"`` or ``"python"``.
-
-    ``choice`` (default: the ``REPRO_LEGALITY_BACKEND`` env var)
-    may be ``auto``, ``numpy``, or ``python``.  Forcing ``numpy``
-    without numpy installed is an error — a silent fallback would
-    let the numpy differential leg pass without testing anything.
-    """
-    if choice is None:
-        choice = env.text("REPRO_LEGALITY_BACKEND", "auto")
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if _numpy() is None:
-            raise RuntimeError(
-                "REPRO_LEGALITY_BACKEND=numpy but numpy is not importable"
-            )
-        return "numpy"
-    if choice != "auto":
-        raise ValueError(
-            f"unknown legality backend {choice!r}; "
-            "expected auto, numpy, or python"
-        )
-    if num_flat_banks >= AUTO_NUMPY_MIN_BANKS and _numpy() is not None:
-        return "numpy"
-    return "python"
-
 
 class LegalityKernel:
     """Incremental earliest-legal-issue state for one memory channel."""
 
-    def __init__(self, dram: "DramSystem", backend: Optional[str] = None):
+    def __init__(self, dram: "DramSystem"):
         self.dram = dram
         self.num_banks = dram.num_banks
         self.num_ranks = dram.num_ranks
         n = self.num_banks * self.num_ranks
         self.num_flat_banks = n
-        self.backend = resolve_backend(n, backend)
-        # Canonical (python-list) component state; the numpy arrays are
-        # derived views rebuilt lazily when ``version`` moves.
         self._act: List[Optional[int]] = [0] * n
         self._pre: List[Optional[int]] = [None] * n
         self._cas: List[Optional[int]] = [None] * n
@@ -137,10 +70,6 @@ class LegalityKernel:
         self._cmd = 0
         self._chan_read = 0
         self._chan_write = 0
-        #: Mutation generation; bumped by every on_issue/on_refresh.
-        self.version = 0
-        self._np_version = -1
-        self._np_combined = None
         #: Optional repro.obs KernelCounters; None in normal runs, so
         #: every instrumented site pays one attribute test.
         self.counters = None
@@ -201,7 +130,6 @@ class LegalityKernel:
             for bank in range(self.num_banks):
                 self._sync_bank(rank, bank)
         self._sync_channel()
-        self.version += 1
         if self.counters is not None:
             self.counters.syncs += 1
 
@@ -216,14 +144,12 @@ class LegalityKernel:
         if kind is CommandType.ACTIVATE or kind is CommandType.WRITE:
             self._sync_rank(rank)
         self._sync_channel()
-        self.version += 1
 
     def on_refresh(self) -> None:
         """An all-bank refresh moved every bank's ``precharge_done``."""
         for rank in range(self.num_ranks):
             for bank in range(self.num_banks):
                 self._sync_bank(rank, bank)
-        self.version += 1
 
     # -- scalar queries ------------------------------------------------------
 
@@ -309,75 +235,3 @@ class LegalityKernel:
                 if earliest is None or t < earliest:
                     earliest = t
         return earliest
-
-    # -- batched horizon -----------------------------------------------------
-
-    def horizon(
-        self, flat_banks: Sequence[int], masks: Sequence[int]
-    ) -> Optional[int]:
-        """Min earliest-issue across ``(flat_banks[j], masks[j])`` pairs.
-
-        The one-shot "when could *any* of these banks next issue one of
-        the commands it needs" reduction that feeds the event engine's
-        wake computation.  Answers are exact, not conservative — both
-        backends compute the identical integer.
-        """
-        if not flat_banks:
-            return None
-        counters = self.counters
-        if counters is not None:
-            counters.batch_queries += 1
-        if self.backend == "numpy":
-            return self._horizon_numpy(flat_banks, masks)
-        earliest: Optional[int] = None
-        by_mask = self.earliest_by_mask
-        for flat, mask in zip(flat_banks, masks):
-            t = by_mask(flat, mask)
-            if t is not None and (earliest is None or t < earliest):
-                earliest = t
-        return earliest
-
-    def _combined_arrays(self):
-        """Per-kind fully-combined int64 arrays (lazily rebuilt)."""
-        if self._np_version == self.version:
-            return self._np_combined
-        if self.counters is not None:
-            self.counters.rebuilds += 1
-        np = _numpy()
-        act = np.array(
-            [FORBID if v is None else v for v in self._act], dtype=np.int64
-        )
-        pre = np.array(
-            [FORBID if v is None else v for v in self._pre], dtype=np.int64
-        )
-        cas = np.array(
-            [FORBID if v is None else v for v in self._cas], dtype=np.int64
-        )
-        rank_act = np.repeat(
-            np.array(self._rank_act, dtype=np.int64), self.num_banks
-        )
-        rank_read = np.repeat(
-            np.array(self._rank_read, dtype=np.int64), self.num_banks
-        )
-        self._np_combined = (
-            np.maximum(np.maximum(act, rank_act), self._cmd),
-            np.maximum(pre, self._cmd),
-            np.maximum(np.maximum(cas, rank_read), self._chan_read),
-            np.maximum(cas, self._chan_write),
-        )
-        self._np_version = self.version
-        return self._np_combined
-
-    def _horizon_numpy(
-        self, flat_banks: Sequence[int], masks: Sequence[int]
-    ) -> Optional[int]:
-        np = _numpy()
-        act_c, pre_c, read_c, write_c = self._combined_arrays()
-        idx = np.asarray(flat_banks, dtype=np.intp)
-        m = np.asarray(masks, dtype=np.int64)
-        sel = np.where(m & MASK_ACT, act_c[idx], FORBID)
-        sel = np.minimum(sel, np.where(m & MASK_PRE, pre_c[idx], FORBID))
-        sel = np.minimum(sel, np.where(m & MASK_READ, read_c[idx], FORBID))
-        sel = np.minimum(sel, np.where(m & MASK_WRITE, write_c[idx], FORBID))
-        best = int(sel.min())
-        return None if best >= FORBID else best

@@ -104,25 +104,6 @@ ENV_VARS = (
         description="Upper bound on in-process memoized results (LRU).",
     ),
     EnvVar(
-        "REPRO_PACKED_KEYS",
-        fingerprint_relevant=False,
-        description="'0' forces the tuple-key oracle over packed-int "
-        "keys; both paths are bit-identical by contract.",
-    ),
-    EnvVar(
-        "REPRO_WAKE_INDEX",
-        fingerprint_relevant=False,
-        description="'0' forces the linear wake-scan oracle over the "
-        "sharded wake-index event engine; both paths are bit-identical "
-        "by contract.",
-    ),
-    EnvVar(
-        "REPRO_LEGALITY_BACKEND",
-        fingerprint_relevant=False,
-        description="Batched legality kernel backend: auto, numpy, or "
-        "python; all backends are bit-identical by contract.",
-    ),
-    EnvVar(
         "REPRO_BENCH_STRICT",
         fingerprint_relevant=False,
         description="Makes the benchmark harnesses enforce absolute "

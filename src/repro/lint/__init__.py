@@ -4,23 +4,24 @@
 passes encode the *repository's own contracts* — the invariants generic
 linters cannot know:
 
-* DET001–DET008 — the determinism rules (randomness, wall clocks, set
+* DET001–DET009 — the determinism rules (randomness, wall clocks, set
   iteration, float key equality, mutable defaults, banned imports in
-  the policy and obs packages), DET001–DET007 migrated from the
-  standalone ``tools/lint_determinism.py`` (now a shim over this
-  package); DET008 keeps :mod:`repro.obs` a pure observer whose only
-  wall-clock access is the registered ``repro/obs/phases.py`` module.
+  the telemetry, policy, obs and serve packages); DET008 keeps
+  :mod:`repro.obs` a pure observer whose only wall-clock access is the
+  registered ``repro/obs/phases.py`` module.
 * FPR100 — every ``SystemConfig`` field must reach the result-cache
   fingerprint, or sweeps silently read stale cached results.
 * ENV200 — every ``REPRO_*`` environment read must go through the
   declared registry module (:mod:`repro.env`) and be documented and
   classified fingerprint-relevant or semantics-free.
-* POL300 — ``SchedulingPolicy`` subclasses: packed-key labels match
-  declared names, hooks are armed, the registry can reach the class.
+* POL300 — ``SchedulingPolicy`` subclasses: hooks are armed, flags are
+  set rather than derived properties overridden, the registry can reach
+  the class.
 * WAKE400 — event-engine wake functions return on every path and
   derive times from simulated cycles only.
 * HOT500 — the scheduler/legality hot paths stay free of per-call
-  formatting, sorting temporaries, and module-level mutable state.
+  formatting, sorting temporaries, and module-level mutable state, and
+  every named hot-path root still names a function.
 
 Run ``repro-fqms lint`` (or ``python -m repro.lint``) for the CLI;
 see ``docs/INTERNALS.md`` ("Static analysis") for the rule catalog and

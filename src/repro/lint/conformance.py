@@ -3,10 +3,6 @@
 POL300 checks the :class:`~repro.policy.base.SchedulingPolicy` protocol
 statically, across every subclass in the tree:
 
-* ``key_field_specs()`` without ``key_field_names()`` (a packed layout
-  with inherited, likely wrong, labels);
-* where both are statically determinable, the KeyField labels must
-  match the declared names, return-branch for return-branch;
 * lifecycle hooks (``on_arrival``/``on_issue``/``on_complete``) defined
   without arming ``has_hooks = True`` — the controller never dispatches
   unarmed hooks, so the policy silently runs stateless;
@@ -31,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .core import Finding, LintPass, SourceFile, always_exits, const_str
+from .core import Finding, LintPass, SourceFile, always_exits
 from .determinism import GLOBAL_RANDOM_FUNCS, WALL_CLOCK_CALLS
 from .project import Project
 from .registry import register
@@ -108,51 +104,6 @@ def _arms_has_hooks(node: ast.ClassDef) -> bool:
     return False
 
 
-def _static_name_returns(fn: ast.FunctionDef) -> Optional[Set[Tuple[str, ...]]]:
-    """Name sequences returned by ``key_field_names``, or None if dynamic."""
-    sequences: Set[Tuple[str, ...]] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
-        if not isinstance(node.value, ast.Tuple):
-            return None
-        names = []
-        for elt in node.value.elts:
-            name = const_str(elt)
-            if name is None:
-                return None
-            names.append(name)
-        sequences.add(tuple(names))
-    return sequences
-
-
-def _static_spec_returns(fn: ast.FunctionDef) -> Optional[Set[Tuple[str, ...]]]:
-    """Label sequences of ``key_field_specs`` KeyField tuples, or None."""
-    sequences: Set[Tuple[str, ...]] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
-        if isinstance(node.value, ast.Constant) and node.value.value is None:
-            continue  # "no layout" opts out of packing, nothing to match
-        if not isinstance(node.value, ast.Tuple):
-            return None
-        labels = []
-        for elt in node.value.elts:
-            if not (
-                isinstance(elt, ast.Call)
-                and isinstance(elt.func, ast.Name)
-                and elt.func.id == "KeyField"
-                and elt.args
-            ):
-                return None
-            label = const_str(elt.args[0])
-            if label is None:
-                return None
-            labels.append(label)
-        sequences.add(tuple(labels))
-    return sequences
-
-
 def _bootstrap_coverage(project: Project) -> Optional[Set[str]]:
     """Class names reachable from the policy-registry bootstrap.
 
@@ -202,7 +153,7 @@ def _bootstrap_coverage(project: Project) -> Optional[Set[str]]:
 @register
 class PolicyConformancePass(LintPass):
     rule = "POL300"
-    title = "SchedulingPolicy subclasses: keys, hooks, flags, registry"
+    title = "SchedulingPolicy subclasses: hooks, flags, registry"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -214,35 +165,6 @@ class PolicyConformancePass(LintPass):
         for file, node in classes:
             methods = _methods(node)
             armed = _arms_has_hooks(node)
-
-            names_fn = methods.get("key_field_names")
-            specs_fn = methods.get("key_field_specs")
-            if specs_fn is not None and names_fn is None:
-                findings.append(
-                    Finding(
-                        file.path,
-                        specs_fn.lineno,
-                        self.rule,
-                        f"{node.name} declares key_field_specs() but "
-                        "inherits key_field_names(); the packed layout's "
-                        "labels would not describe this policy's key",
-                    )
-                )
-            if names_fn is not None and specs_fn is not None:
-                names = _static_name_returns(names_fn)
-                specs = _static_spec_returns(specs_fn)
-                if names is not None and specs is not None and specs:
-                    if names != specs:
-                        findings.append(
-                            Finding(
-                                file.path,
-                                specs_fn.lineno,
-                                self.rule,
-                                f"{node.name}: key_field_specs() labels "
-                                f"{sorted(specs)} do not match "
-                                f"key_field_names() {sorted(names)}",
-                            )
-                        )
 
             hooks = [h for h in LIFECYCLE_HOOKS if h in methods]
             if hooks and not armed:

@@ -11,9 +11,8 @@ never execute it.
 Suppressions are line-scoped comments, shared by every pass:
 
 * ``# lint: allow(RULE, reason)`` — suppress ``RULE`` on this line.
-* ``# det: allow(reason)`` — the legacy determinism-lint spelling;
-  suppresses any ``DET###`` rule on the line (kept so the pre-framework
-  ``tools/lint_determinism.py`` call sites and comments keep working).
+* ``# det: allow(reason)`` — the determinism-rule spelling; suppresses
+  any ``DET###`` rule on the line.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set
 
 #: Pseudo-rule for files that do not parse; every pass depends on a
-#: tree, so a syntax error is reported once under this id (the name is
-#: inherited from the determinism lint for shim compatibility).
+#: tree, so a syntax error is reported once under this id.
 PARSE_ERROR_RULE = "DET000"
 
 _LINT_ALLOW = re.compile(

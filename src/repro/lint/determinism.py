@@ -1,15 +1,14 @@
-"""DET001–DET007: the determinism rules, ported from tools/lint_determinism.py.
+"""DET001–DET009: the determinism rules.
 
 The simulator's contract is bit-identical results from identical inputs
 (the result cache, the differential checker, and every golden test
 depend on it).  These rules flag constructs that historically break
-that contract.  Semantics are identical to the pre-framework
-standalone tool — ``tools/lint_determinism.py`` is now a thin shim over
-this module, and the golden-corpus test pins the equivalence.
+that contract; ``tests/check/test_lint_determinism.py`` unit-tests
+DET001–DET007.
 
-All seven rules share a single AST traversal per file (cached on
+All the rules share a single AST traversal per file (cached on
 ``SourceFile.cache``); each pass simply filters the shared finding list
-by its rule id, so running one rule or all seven costs one walk.
+by its rule id, so running one rule or all nine costs one walk.
 """
 
 from __future__ import annotations
@@ -465,13 +464,3 @@ class ObsImportPass(_DeterminismPass):
 class ServeImportPass(_DeterminismPass):
     rule = "DET009"
     title = "time/RNG imports inside the serve package"
-
-
-#: Rule ids this module provides, in catalog order (used by the shim).
-#: DET008/DET009 are deliberately absent: the shim's golden corpus
-#: predates the obs and serve packages, and the standalone tool keeps
-#: its pinned DET001–DET007 surface; the framework registry carries
-#: DET008 and DET009.
-DET_RULES = (
-    "DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "DET007",
-)

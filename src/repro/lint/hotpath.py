@@ -1,10 +1,9 @@
 """HOT500: hot-path purity for the scheduler's inner loops.
 
 The bank scheduler's candidate selection and the DRAM legality kernels
-run millions of times per simulated second; PR 6's packed-key and
-batched-legality work exists because these loops dominate the profile.
-This pass guards the regressions that erode that work one innocuous
-line at a time:
+run millions of times per simulated second and dominate the profile.
+This pass guards the regressions that slow them one innocuous line at
+a time:
 
 * string formatting (f-strings, ``%``) and ``print``/``logging`` calls
   allocate per invocation — exempt inside ``raise``/``assert``, where
@@ -16,11 +15,13 @@ line at a time:
   classic "works until REPRO_JOBS>1" trap.
 
 Roots are the scheduler's candidate-selection entry points, every
-function in the legality module, the wake index (PR 8 — every event
-iteration goes through it), and the indexed engine's sparse dispatch
+function in the legality module, the wake index (every event iteration
+goes through it), and the event engine's targeting and sparse dispatch
 in ``sim/system.py``; the pass closes over same-class ``self.*()`` and
 same-module calls, so a helper extracted from a hot loop stays covered
-without touching this file.
+without touching this file.  A named root with no function behind it
+is itself a finding: a renamed or deleted hot path would otherwise
+drop out of the check silently.
 """
 
 from __future__ import annotations
@@ -40,25 +41,24 @@ SCHEDULER_ROOTS = (
     "cacheable_wake",
     "earliest_possible_issue",
     "kind_mask",
-    "wake_mask",
 )
 
 #: Every function in this module is a hot kernel (construction aside).
 KERNEL_FILE = "legality.py"
-KERNEL_SKIP = ("__init__", "__repr__", "resolve_backend")
+KERNEL_SKIP = ("__init__",)
 
 #: The wake index: every method runs once per event-engine iteration.
 WAKEINDEX_FILE = "wakeindex.py"
 WAKEINDEX_SKIP = ("__init__",)
 
-#: The indexed engine's targeting and sparse-dispatch loops.
+#: The event engine's targeting and sparse-dispatch loops.
 SYSTEM_FILE = "system.py"
 SYSTEM_CLASS = "CmpSystem"
 SPARSE_ROOTS = (
-    "_run_event_indexed",
-    "_event_target_indexed",
+    "_run_event",
+    "_event_target",
     "_sparse_step",
-    "_skip_span_indexed",
+    "_skip_span",
     "_acceptance_due",
     "_wb_unblock_due",
 )
@@ -108,6 +108,17 @@ def _index_file(
     return functions, classes
 
 
+def _resolve(
+    cls: Optional[str],
+    name: str,
+    functions: Dict[str, ast.FunctionDef],
+    classes: Dict[str, Dict[str, ast.FunctionDef]],
+) -> Optional[ast.FunctionDef]:
+    """The function a (class, name) root names: a method, else a module function."""
+    table = classes.get(cls, {}) if cls else functions
+    return table.get(name) or functions.get(name)
+
+
 def _reachable(
     roots: List[Tuple[Optional[str], str]],
     functions: Dict[str, ast.FunctionDef],
@@ -122,8 +133,7 @@ def _reachable(
         if (cls, name) in seen:
             continue
         seen.add((cls, name))
-        table = classes.get(cls, {}) if cls else functions
-        fn = table.get(name) or functions.get(name)
+        fn = _resolve(cls, name, functions, classes)
         if fn is None:
             continue
         label = f"{cls}.{name}" if cls and name in classes.get(cls, {}) else name
@@ -253,7 +263,18 @@ class HotPathPurityPass(LintPass):
     def _check(self, file: SourceFile, roots) -> List[Finding]:
         functions, classes = _index_file(file.tree)
         mutables = _module_mutables(file.tree)
-        findings: List[Finding] = []
+        findings = [
+            Finding(
+                file.path,
+                1,
+                self.rule,
+                f"hot-path root {cls + '.' if cls else ''}{name}() names no "
+                "function in this file (stale root: the path it guarded is "
+                "no longer checked)",
+            )
+            for cls, name in roots
+            if _resolve(cls, name, functions, classes) is None
+        ]
         for label, fn in _reachable(list(roots), functions, classes):
             visitor = _PurityVisitor(label, mutables)
             for stmt in fn.body:

@@ -112,10 +112,7 @@ def harvest(system: "CmpSystem", obs: "RunObs") -> None:
         )
     kernel = obs.legality
     registry.gauge("legality.queries", kernel.queries)
-    registry.gauge("legality.batch_queries", kernel.batch_queries)
-    registry.gauge("legality.rebuilds", kernel.rebuilds)
     registry.gauge("legality.syncs", kernel.syncs)
-    registry.label("legality.backend", system.dram.kernel.backend)
     keys = obs.keys
     registry.gauge("policy_keys.hits", keys.hits)
     registry.gauge("policy_keys.misses", keys.misses)

@@ -76,20 +76,16 @@ class MetricsRegistry:
 class KernelCounters:
     """Hot counters for one legality kernel (attached when obs is on).
 
-    ``queries`` counts scalar ``earliest_issue`` calls,
-    ``batch_queries`` the batched ``horizon`` reductions, ``rebuilds``
-    lazy numpy combined-array rebuilds, and ``syncs`` full mirror
-    rebuilds (``sync_all``).  All are bumped behind
+    ``queries`` counts ``earliest_issue`` calls and ``syncs`` full
+    mirror rebuilds (``sync_all``).  Both are bumped behind
     ``counters is not None`` guards, so a disabled run pays one
     attribute test per query and nothing else.
     """
 
-    __slots__ = ("queries", "batch_queries", "rebuilds", "syncs")
+    __slots__ = ("queries", "syncs")
 
     def __init__(self) -> None:
         self.queries = 0
-        self.batch_queries = 0
-        self.rebuilds = 0
         self.syncs = 0
 
 

@@ -57,8 +57,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .packing import KeyField, pack_tuple
-
 if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
     from ..controller.bank_scheduler import CandidateCommand
     from ..controller.request import MemoryRequest
@@ -117,40 +115,6 @@ class SchedulingPolicy:
     def request_key(self, request: "MemoryRequest") -> Tuple:
         """Ordering key — lower compares as higher priority."""
         raise NotImplementedError
-
-    # -- packed-int keys (see repro.policy.packing) -------------------------
-
-    def key_field_specs(self) -> Optional[Tuple[KeyField, ...]]:
-        """Declared bit-width layout of the key fields, or ``None``.
-
-        Returning a :class:`~repro.policy.packing.KeyField` tuple (one
-        per :meth:`key_field_names` entry, same order) opts the policy
-        into packed-int scheduling: the schedulers compare the single
-        int from :meth:`packed_key` instead of allocating the ordering
-        tuple per candidate.  ``None`` (the default) keeps the policy
-        on the tuple path — always correct, just slower.  A policy that
-        declares a layout promises every ``uint`` field stays within
-        its width for the lifetime of a run; the tuple path remains the
-        oracle either way.
-        """
-        return None
-
-    def packed_key(self, request: "MemoryRequest") -> int:
-        """:meth:`request_key` folded into one int per the declared layout.
-
-        The default packs :meth:`request_key`'s tuple through the
-        generic (checked) packer; hot policies override this with
-        hand-inlined shifts that skip both the tuple allocation and
-        the width checks.  Must order identically to ``request_key``:
-        ``packed_key(a) < packed_key(b)  ⟺  request_key(a) <
-        request_key(b)`` for all requests visible in one run.
-        """
-        specs = self.key_field_specs()
-        if specs is None:
-            raise NotImplementedError(
-                f"policy {self.name!r} declares no key layout"
-            )
-        return pack_tuple(specs, self.request_key(request))
 
     # -- lifecycle hooks (dispatched only when ``has_hooks``) --------------
 

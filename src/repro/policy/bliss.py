@@ -22,16 +22,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .base import SchedulingPolicy
-from .packing import SEQ_BITS, TIME_BITS, KeyField
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
     from ..controller.bank_scheduler import CandidateCommand
     from ..controller.request import MemoryRequest
-
-#: Width of the round-robin ``last_served`` counter: one increment per
-#: served request, so the arrival-time budget is more than enough.
-_SERVED_BITS = TIME_BITS
-_TAIL_BITS = TIME_BITS + SEQ_BITS
 
 #: A thread is blacklisted after winning this many consecutive
 #: served (CAS-issued) requests.
@@ -92,27 +86,6 @@ class BlissPolicy(SchedulingPolicy):
             self._last_served[thread],
             request.arrival_time,
             request.seq,
-        )
-
-    def key_field_specs(self) -> Tuple[KeyField, ...]:
-        return (
-            KeyField("blacklisted", 1),
-            KeyField("last_served", _SERVED_BITS),
-            KeyField("arrival_time", TIME_BITS),
-            KeyField("seq", SEQ_BITS),
-        )
-
-    def packed_key(self, request: "MemoryRequest") -> int:
-        # Reads the same mutable state as request_key, shift-composed —
-        # no per-thread cache to fall out of sync with the blacklist.
-        thread = request.thread_id
-        prefix = self._last_served[thread]
-        if self.blacklisted[thread]:
-            prefix |= 1 << _SERVED_BITS
-        return (
-            (prefix << _TAIL_BITS)
-            | (request.arrival_time << SEQ_BITS)
-            | request.seq
         )
 
     # -- hooks -------------------------------------------------------------

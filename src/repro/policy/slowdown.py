@@ -28,19 +28,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .base import SchedulingPolicy
-from .packing import (
-    FLOAT_BITS,
-    SEQ_BITS,
-    TIME_BITS,
-    KeyField,
-    float_sort_bits,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
     from ..controller.request import MemoryRequest
     from ..dram.timing import DDR2Timing
-
-_TAIL_BITS = TIME_BITS + SEQ_BITS
 
 #: Slowdown estimates are refreshed every this-many cycles.
 DEFAULT_INTERVAL = 5_000
@@ -114,11 +105,6 @@ class SlowdownPolicy(SchedulingPolicy):
         #: The snapshot keys read; refreshed at interval boundaries so
         #: priorities are stable within an interval.
         self._slowdown: List[float] = [1.0] * num_threads
-        #: ``float_sort_bits(-slowdown)`` per thread, refreshed with the
-        #: snapshot so packed_key never packs a float on the hot path.
-        self._packed_prefix: List[int] = [
-            float_sort_bits(-1.0)
-        ] * num_threads
         self._next_epoch = interval
 
     def key_field_names(self) -> Tuple[str, ...]:
@@ -129,20 +115,6 @@ class SlowdownPolicy(SchedulingPolicy):
             -self._slowdown[request.thread_id],
             request.arrival_time,
             request.seq,
-        )
-
-    def key_field_specs(self) -> Tuple[KeyField, ...]:
-        return (
-            KeyField("neg_slowdown", FLOAT_BITS, "float"),
-            KeyField("arrival_time", TIME_BITS),
-            KeyField("seq", SEQ_BITS),
-        )
-
-    def packed_key(self, request: "MemoryRequest") -> int:
-        return (
-            (self._packed_prefix[request.thread_id] << _TAIL_BITS)
-            | (request.arrival_time << SEQ_BITS)
-            | request.seq
         )
 
     def slowdown_estimates(self) -> List[float]:
@@ -160,7 +132,6 @@ class SlowdownPolicy(SchedulingPolicy):
         if now < self._next_epoch:
             return
         self._slowdown = self.estimator.slowdowns()
-        self._packed_prefix = [float_sort_bits(-s) for s in self._slowdown]
         self._next_epoch = (now // self.interval + 1) * self.interval
 
     def next_event_time(self, now: int) -> Optional[int]:

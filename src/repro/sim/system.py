@@ -17,7 +17,6 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from .. import env
 from ..check import RunChecker, checks_enabled
 from ..controller.address_map import AddressMap
 from ..controller.controller import MemoryController
@@ -32,18 +31,6 @@ from ..policy import make_policy
 from ..telemetry import RunTelemetry, trace_enabled
 from .config import SystemConfig
 from .wakeindex import WakeIndex
-
-
-def wake_index_enabled() -> bool:
-    """``REPRO_WAKE_INDEX`` gate (default on; ``0``/``false`` is off).
-
-    Off keeps the PR 3 linear wake scan as the differential oracle.
-    The knob is semantics-free: both engines are bit-identical by
-    contract (and by the differential suites).  Read at system
-    construction so the parallel engine's worker processes inherit the
-    choice, exactly like ``REPRO_CHECK``.
-    """
-    return env.text("REPRO_WAKE_INDEX").strip().lower() not in ("0", "false")
 
 
 @dataclass
@@ -96,7 +83,6 @@ class CmpSystem:
         profiles: Sequence,
         check: Optional[bool] = None,
         trace: Optional[bool] = None,
-        wake_index: Optional[bool] = None,
         obs: Optional[bool] = None,
     ):
         """Build a system running one workload per core.
@@ -131,12 +117,6 @@ class CmpSystem:
         phase timings) the same way; ``None`` defers to ``REPRO_OBS``.
         Another pure observer — the obs-on/off differential tests pin
         bit-identical results.
-
-        ``wake_index`` selects the event engine's targeting machinery:
-        True uses the sharded wake index with sparse ticking, False the
-        PR 3 linear scan (the differential oracle); ``None`` defers to
-        ``REPRO_WAKE_INDEX`` (default on).  Results are bit-identical
-        either way.
         """
         if len(profiles) != config.num_cores:
             raise ValueError(
@@ -234,14 +214,6 @@ class CmpSystem:
         ]
         self._fill_seq = 0
         self.now = 0
-        #: Event-engine state: cached per-core wake times (None = must
-        #: recompute; _NO_EVENT = no self-generated event), plus a
-        #: per-core activity counter bumped on every accepted submit and
-        #: delivered fill so the cache invalidates when a stepped cycle
-        #: changed a core's externally-visible state.
-        self._core_wake: List[Optional[int]] = [None] * config.num_cores
-        self._core_activity: List[int] = [0] * config.num_cores
-        self._activity_seen: List[int] = [0] * config.num_cores
         #: Engine instrumentation: cycles stepped vs cycles skipped,
         #: plus targeting-call and component-tick counts for the
         #: engine-internals block in the throughput benchmarks.
@@ -249,16 +221,14 @@ class CmpSystem:
         self.engine_cycles_skipped = 0
         self.engine_event_target_calls = 0
         self.engine_component_ticks = 0
-        # -- wake-index state (None = linear-scan oracle) ---------------
+        # -- wake-index state (None = cycle engine) ---------------------
         # Slot layout: controllers at [0, num_channels), cores after.
         # Each controller gets its own shard; cores share one, so a
         # channel's wake churn touches only that channel's heap.
         self._core_slot0 = config.num_channels
         self._num_slots = config.num_channels + config.num_cores
-        if wake_index is None:
-            wake_index = wake_index_enabled()
         self._windex: Optional[WakeIndex] = None
-        if wake_index and config.engine == "event":
+        if config.engine == "event":
             self._windex = WakeIndex(
                 list(range(config.num_channels))
                 + [config.num_channels] * config.num_cores
@@ -404,7 +374,6 @@ class CmpSystem:
             # at the controller interface and retry each cycle.
             arrival = self.now + self.config.front_latency
             heapq.heappush(self._to_controller, (arrival, request.seq, request))
-            self._core_activity[core_id] += 1
             return True
 
         return submit
@@ -434,7 +403,7 @@ class CmpSystem:
         # can_accept pre-gate is exactly the reserve predicate, so a
         # rejected head takes the same one-NACK accounting a failed
         # try_enqueue would have charged, without constructing the
-        # enqueue attempt (and, under the wake index, without waking a
+        # enqueue attempt (and, on the event engine, without waking a
         # deferred controller).
         indexed = self._windex is not None
         num_threads = self.config.num_cores
@@ -478,9 +447,9 @@ class CmpSystem:
         """Advance the whole system by one cycle."""
         now = self.now
         if self._windex is not None:
-            # Manual stepping on an indexed system: catch every
+            # Manual stepping on an event-engine system: catch every
             # deferred component up first (normally a no-op — the
-            # indexed loop syncs on exit) and mark all wakes stale
+            # event loop syncs on exit) and mark all wakes stale
             # after, since this full step ticks everything.
             self._sync_all(now)
         if self.telemetry is not None:
@@ -514,7 +483,6 @@ class CmpSystem:
             phases.begin("dispatch")
         while self._to_cores and self._to_cores[0][0] <= now:
             _, _, thread_id, line = heapq.heappop(self._to_cores)
-            self._core_activity[thread_id] += 1
             self.cores[thread_id].on_fill(line, now)
 
         for core in self.cores:
@@ -531,14 +499,21 @@ class CmpSystem:
     # their timing-ledger sleep times, in-flight data, and refresh
     # deadlines; cores from their next retire/fetch/local-completion
     # event; the interconnect heaps from their head timestamps.  The
-    # loop jumps straight to the minimum, bulk-accounting the skipped
-    # span (cycle and NACK counters, retirement, the FQ real clock) so
-    # results are bit-identical to stepping every cycle.  Wake times
-    # are conservative bounds: answering early just steps a no-op
-    # cycle, which is always safe.
-
-    #: Cached wake-time marker for "no self-generated event".
-    _NO_EVENT = 1 << 62
+    # loop jumps straight to the minimum, and results are bit-identical
+    # to stepping every cycle.  Wake times are conservative bounds:
+    # answering early just steps a no-op cycle, which is always safe.
+    #
+    # Event targeting reads a sharded lazy min-heap of published wakes
+    # (the wake index) instead of scanning every component, and stepped
+    # cycles tick only the components that are actually due (heap pop)
+    # or receive a delivery.  Un-due components are not even charged
+    # their skip accounting per cycle — each keeps a ``_synced``
+    # watermark and is caught up lazily, in one bulk
+    # ``skip``/``skip_cycles`` call, when it next matters.  Safety rests
+    # on the WAKE400 contracts: a published wake is a conservative bound
+    # that cannot move earlier while the component is untouched, so
+    # every cycle skipped or deferred is provably a no-op for that
+    # component.
 
     def _writeback_blocked(self, core: OooCore) -> bool:
         """True when the core's head writeback would be NACKed this cycle.
@@ -587,112 +562,6 @@ class CmpSystem:
             versions[channel] = version
         return False
 
-    def _event_target(self, limit: int) -> int:
-        """Earliest cycle in ``[now, limit]`` that must be stepped."""
-        now = self.now
-        self.engine_event_target_calls += 1
-        target = limit
-        if self.telemetry is not None:
-            # Sampling deadlines are events: never skip across one, so
-            # the boundary cycle is stepped and sampled at its top.
-            deadline = self.telemetry.next_sample
-            if deadline <= now:
-                return now
-            if deadline < target:
-                target = deadline
-        if self._to_controller:
-            head = self._to_controller[0][0]
-            if head <= now:
-                return now
-            if head < target:
-                target = head
-        if self._to_cores:
-            head = self._to_cores[0][0]
-            if head <= now:
-                return now
-            if head < target:
-                target = head
-        # A NACKed interface-queue head that would now be accepted must
-        # enter via a real step; heads that stay rejected are pure
-        # counter traffic, replicated in bulk by _skip_span.
-        if self._acceptance_due():
-            return now
-        for controller in self.controllers:
-            wake = controller.next_event_time(now)
-            if wake is not None:
-                if wake <= now:
-                    return now
-                if wake < target:
-                    target = wake
-        wake_cache = self._core_wake
-        for i, core in enumerate(self.cores):
-            if core.has_blocked_writeback() and not self._writeback_blocked(core):
-                wake_cache[i] = None
-                return now
-            wake = wake_cache[i]
-            if wake is None or wake <= now:
-                wake = core.wake_time(now)
-                wake = self._NO_EVENT if wake is None else wake
-                wake_cache[i] = wake
-            if wake <= now:
-                wake_cache[i] = None
-                return now
-            if wake < target:
-                target = wake
-        return target
-
-    def _skip_span(self, target: int) -> None:
-        """Bulk-account the no-op cycles ``[self.now, target)``."""
-        now = self.now
-        for core in self.cores:
-            core.skip(now, target)
-        for controller in self.controllers:
-            controller.skip_cycles(now, target)
-        span = target - now
-        for channel, thread_id in self._awaiting_nonempty:  # det: allow(commutative counter adds, order-free)
-            # One rejected head-of-queue retry per cycle per queue.
-            self.controllers[channel].skip_interface_nacks(thread_id, span)
-        self.engine_cycles_skipped += span
-        self.now = target
-
-    def _run_event(self, limit: int) -> None:
-        activity = self._core_activity
-        seen = self._activity_seen
-        wake_cache = self._core_wake
-        phases = self._obs_phases
-        while self.now < limit:
-            if phases is not None:
-                phases.begin("targeting")
-            target = self._event_target(limit)
-            if target > self.now:
-                self._skip_span(target)
-                if self.now >= limit:
-                    break
-            self.engine_steps += 1
-            self.step()
-            # Invalidate wake caches of cores whose externally-visible
-            # state changed this cycle (accepted submits, delivered
-            # fills); everything else keeps its cached wake time.
-            for i in range(len(seen)):
-                if activity[i] != seen[i]:
-                    seen[i] = activity[i]
-                    wake_cache[i] = None
-
-    # -- wake-index engine ---------------------------------------------------
-    #
-    # The indexed engine (PR 8) replaces both O(n) loops the scan
-    # engine kept: event targeting reads a sharded lazy min-heap of
-    # published wakes instead of scanning every component, and stepped
-    # cycles tick only the components that are actually due (heap pop)
-    # or receive a delivery, instead of broadcasting to all of them.
-    # Un-due components are not even charged their skip accounting per
-    # cycle — each keeps a ``_synced`` watermark and is caught up
-    # lazily, in one bulk ``skip``/``skip_cycles`` call, when it next
-    # matters.  Safety rests on the WAKE400 contracts: a published wake
-    # is a conservative bound that cannot move earlier while the
-    # component is untouched, so every cycle skipped or deferred is
-    # provably a no-op for that component.
-
     def _catch_up_controller(self, channel: int, now: int) -> None:
         """Apply a deferred controller's skipped span up to ``now``."""
         synced = self._synced
@@ -711,7 +580,7 @@ class CmpSystem:
 
         The barrier before anything that reads whole-system state:
         telemetry sample boundaries, snapshots, manual ``step()``, and
-        the end of an indexed run.
+        the end of an event run.
         """
         synced = self._synced
         controllers = self.controllers
@@ -781,14 +650,13 @@ class CmpSystem:
                 return True
         return False
 
-    def _event_target_indexed(self, limit: int) -> int:
+    def _event_target(self, limit: int) -> int:
         """Earliest cycle in ``[now, limit]`` that must be stepped.
 
-        The indexed analogue of :meth:`_event_target`: the O(1) direct
-        sources (sample deadline, interconnect heap heads) are checked
-        inline, the version-gated probes cover acceptance and writeback
-        unblocks, and everything else — every controller and core — is
-        one sharded heap peek instead of a scan.
+        The O(1) direct sources (sample deadline, interconnect heap
+        heads) are checked inline, the version-gated probes cover
+        acceptance and writeback unblocks, and everything else — every
+        controller and core — is one sharded heap peek.
         """
         now = self.now
         self.engine_event_target_calls += 1
@@ -814,6 +682,8 @@ class CmpSystem:
             del dirty[:]
         target = limit
         if self.telemetry is not None:
+            # Sampling deadlines are events: never skip across one, so
+            # the boundary cycle is stepped and sampled at its top.
             deadline = self.telemetry.next_sample
             if deadline <= now:
                 return now
@@ -831,6 +701,9 @@ class CmpSystem:
                 return now
             if head < target:
                 target = head
+        # A NACKed interface-queue head that would now be accepted must
+        # enter via a real step; heads that stay rejected are pure
+        # counter traffic, replicated in bulk by _skip_span.
         if self._acceptance_due():
             return now
         wake = windex.min_wake()
@@ -842,13 +715,12 @@ class CmpSystem:
             return now
         return target
 
-    def _skip_span_indexed(self, target: int) -> None:
+    def _skip_span(self, target: int) -> None:
         """Jump over the no-op cycles ``[self.now, target)``.
 
-        Unlike :meth:`_skip_span`, no component is touched: their
-        accounting is applied lazily by the catch-up hooks, so a skip
-        costs O(occupied interface queues) — usually zero — regardless
-        of core count.
+        No component is touched: their accounting is applied lazily by
+        the catch-up hooks, so a skip costs O(occupied interface
+        queues) — usually zero — regardless of core count.
         """
         now = self.now
         span = target - now
@@ -929,10 +801,8 @@ class CmpSystem:
             phases.begin("dispatch")
         to_cores = self._to_cores
         cores = self.cores
-        activity = self._core_activity
         while to_cores and to_cores[0][0] <= now:
             _, _, thread_id, line = heapq.heappop(to_cores)
-            activity[thread_id] += 1
             slot = base + thread_id
             if synced[slot] < now:
                 cores[thread_id].skip(synced[slot], now)
@@ -954,14 +824,14 @@ class CmpSystem:
         self.engine_component_ticks += ticks
         self.now = now + 1
 
-    def _run_event_indexed(self, limit: int) -> None:
+    def _run_event(self, limit: int) -> None:
         phases = self._obs_phases
         while self.now < limit:
             if phases is not None:
                 phases.begin("targeting")
-            target = self._event_target_indexed(limit)
+            target = self._event_target(limit)
             if target > self.now:
-                self._skip_span_indexed(target)
+                self._skip_span(target)
                 if self.now >= limit:
                     break
             self.engine_steps += 1
@@ -974,18 +844,15 @@ class CmpSystem:
         """Run until ``self.now`` reaches its current value plus ``cycles``.
 
         ``config.engine`` selects the loop: "event" jumps between
-        component wake times (through the sharded wake index, or the
-        linear-scan oracle under ``REPRO_WAKE_INDEX=0``), "cycle" steps
-        every cycle (the differential oracle).  ``fast_forward=False``
-        forces the per-cycle loop regardless of the configured engine.
+        component wake times through the sharded wake index, "cycle"
+        steps every cycle (the differential oracle).
+        ``fast_forward=False`` forces the per-cycle loop regardless of
+        the configured engine.
         """
         limit = self.now + cycles
         if not fast_forward or self.config.engine != "event":
             while self.now < limit:
                 self.step()
-            return
-        if self._windex is not None:
-            self._run_event_indexed(limit)
             return
         self._run_event(limit)
 

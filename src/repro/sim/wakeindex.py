@@ -1,17 +1,14 @@
 """Sharded lazy min-heap over component wake times (the wake index).
 
 The event engine needs, on every iteration, the earliest cycle at which
-any component's tick could do unskippable work.  PR 3 answered that
-with a linear scan over every controller and core — O(n) per event, the
-loop the ROADMAP names as the blocker for many-core scale-out.  The
-wake index replaces the scan with per-shard min-heaps of
-``(wake_time, epoch, slot)`` entries:
+any component's tick could do unskippable work.  A linear scan over
+every controller and core costs O(n) per event; the wake index answers
+from per-shard min-heaps of ``(wake_time, epoch, slot)`` entries:
 
 * **Slots** are stable small integers assigned by the system — one per
   controller and one per core.  The system publishes a slot's wake only
   when the component's externally visible state changed (it was ticked,
-  or it accepted a request/fill), mirroring the activity-counter cache
-  the scan engine already kept for cores.
+  or it accepted a request/fill).
 * **Epoch invalidation**: each publish bumps the slot's epoch and
   pushes a fresh entry; entries whose epoch no longer matches are stale
   and are popped and discarded on first contact (``stale_pops`` counts
@@ -27,8 +24,8 @@ are conservative (early answers are safe — the engine just steps a
 no-op cycle) and a component's wake bound cannot move *earlier* while
 the component is untouched, so retained entries never cause a late
 wake.  The differential suites (golden matrix, ``repro-fqms check``,
-``tests/sim/test_wakeindex.py``) prove the indexed engine bit-identical
-to the scan oracle kept behind ``REPRO_WAKE_INDEX=0``.
+``tests/sim/test_engine_differential.py``) prove the event engine
+bit-identical to the per-cycle oracle.
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
-#: Published wake meaning "no self-generated event" (matches the scan
-#: engine's ``CmpSystem._NO_EVENT`` sentinel).  Slots at NO_EVENT hold
-#: no live heap entry at all: an idle component costs nothing.
+#: Published wake meaning "no self-generated event".  Slots at NO_EVENT
+#: hold no live heap entry at all: an idle component costs nothing.
 NO_EVENT = 1 << 62
 
 

@@ -227,9 +227,8 @@ class RunTelemetry:
         if inverted:
             self.inversions[thread] += 1
         if cand.kind.is_cas:
-            # Recompute the ordering tuple (cand.key may be a packed
-            # int); called before any issue mutation, so it matches the
-            # key the selection compared.
+            # Recompute the ordering tuple; called before any issue
+            # mutation, so it matches the key the selection compared.
             tracer.on_command_key(
                 request, scheduler.policy.request_key(request)
             )

@@ -1,15 +1,29 @@
-"""tools/lint_determinism.py: each rule fires on a minimal snippet,
-order-insensitive reducers and suppressions are honoured, and the
-simulator source tree itself is clean."""
+"""DET001–DET007 (repro.lint.determinism): each rule fires on a minimal
+snippet, order-insensitive reducers and suppressions are honoured, and
+the simulator source tree itself is clean."""
 
-import sys
 import textwrap
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "tools"))
+from repro.lint import SourceFile, make_passes, run_lint
 
-from lint_determinism import lint_paths, lint_source  # noqa: E402
+REPO_ROOT = Path(__file__).resolve().parents[2]
+DET_RULES = ("DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "DET007")
+
+
+def lint_source(source, path):
+    """Unsuppressed DET findings for one file's source text."""
+    file = SourceFile(path, source=source)
+    if file.parse_error is not None:
+        return [file.parse_error]
+    findings = []
+    for lint_pass in make_passes(DET_RULES):
+        findings.extend(lint_pass.check_file(file, None))
+    return [f for f in findings if not file.suppressed(f)]
+
+
+def lint_paths(paths):
+    return run_lint(paths, rules=DET_RULES).findings
 
 
 def findings_for(snippet):

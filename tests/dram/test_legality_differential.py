@@ -1,13 +1,12 @@
-"""Batched legality kernel vs the object-walking oracle, cycle for cycle.
+"""Legality kernel vs the object-walking oracle, cycle for cycle.
 
 ``DramSystem.earliest_issue`` answers from the incremental
 :class:`~repro.dram.legality.LegalityKernel` mirrors;
 ``DramSystem.earliest_issue_reference`` recombines the live bank, rank,
 and channel objects on every query.  Both must return the identical
-integer for every (kind, rank, bank) at every cycle of real runs — on
-the pure-Python backend and the numpy backend alike — and the batched
-reductions (``earliest_by_mask``, ``horizon``) must equal the min of
-the scalar answers they summarize.
+integer for every (kind, rank, bank) at every cycle of real runs, and
+``earliest_by_mask`` must equal the min of the scalar answers it
+summarizes.
 """
 
 import random
@@ -21,7 +20,6 @@ from repro.dram.legality import (
     MASK_PRE,
     MASK_READ,
     MASK_WRITE,
-    _numpy,
 )
 from repro.dram.timing import DDR2Timing
 from repro.sim.config import SystemConfig
@@ -42,22 +40,13 @@ KIND_MASKS = {
 }
 FULL_MASK = MASK_ACT | MASK_PRE | MASK_READ | MASK_WRITE
 
-BACKENDS = ("python", "numpy")
-
-
-def _require_backend(backend):
-    if backend == "numpy" and _numpy() is None:
-        pytest.skip("numpy not installed")
-
 
 def _assert_kernel_matches_reference(dram, where):
-    """Every scalar query and both batched reductions match the oracle."""
+    """Every scalar query and every mask reduction match the oracle."""
     kernel = dram.kernel
-    flats = []
     for rank in range(dram.num_ranks):
         for bank in range(dram.num_banks):
             flat = rank * dram.num_banks + bank
-            flats.append(flat)
             per_kind = {}
             for kind in KINDS:
                 got = dram.earliest_issue(kind, rank, bank)
@@ -66,7 +55,7 @@ def _assert_kernel_matches_reference(dram, where):
                     f"{where}: {kind.value} rank {rank} bank {bank}: "
                     f"kernel says {got}, reference says {want}"
                 )
-                # Sans-refresh scalar, for the mask/horizon cross-checks.
+                # Sans-refresh scalar, for the mask cross-checks.
                 per_kind[kind] = kernel.earliest_issue(kind, rank, bank)
             legal = [t for t in per_kind.values() if t is not None]
             by_mask = kernel.earliest_by_mask(flat, FULL_MASK)
@@ -76,16 +65,6 @@ def _assert_kernel_matches_reference(dram, where):
             )
             for kind, mask in KIND_MASKS.items():
                 assert kernel.earliest_by_mask(flat, mask) == per_kind[kind]
-    want_horizon = None
-    for flat in flats:
-        t = kernel.earliest_by_mask(flat, FULL_MASK)
-        if t is not None and (want_horizon is None or t < want_horizon):
-            want_horizon = t
-    got_horizon = kernel.horizon(flats, [FULL_MASK] * len(flats))
-    assert got_horizon == want_horizon, (
-        f"{where}: horizon() disagrees with the per-bank mins "
-        f"({got_horizon} vs {want_horizon}, backend {kernel.backend})"
-    )
 
 
 def _instrument(system):
@@ -102,7 +81,6 @@ def _instrument(system):
         controller.tick = tick
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "benchmarks, engine",
     [
@@ -112,27 +90,20 @@ def _instrument(system):
     ],
     ids=["pair-cycle", "pair-event", "quad-event"],
 )
-def test_checked_run_kernel_matches_oracle(
-    monkeypatch, backend, benchmarks, engine
-):
+def test_checked_run_kernel_matches_oracle(benchmarks, engine):
     """Pair and quad runs, sanitizer attached, verified every stepped cycle."""
-    _require_backend(backend)
-    monkeypatch.setenv("REPRO_LEGALITY_BACKEND", backend)
     config = SystemConfig(
         num_cores=len(benchmarks), policy="FQ-VFTF", seed=0, engine=engine
     )
     profiles = [profile(name) for name in benchmarks]
     system = CmpSystem(config, profiles, check=True)
-    for controller in system.controllers:
-        assert controller.dram.kernel.backend == backend
     _instrument(system)
     system.run(6_000)
     stats = system.controllers[0].stats
     assert sum(stats.commands_issued.values()) > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_random_walk_multirank_with_refresh(monkeypatch, backend):
+def test_random_walk_multirank_with_refresh():
     """Seeded random legal-command walk over 2 ranks with frequent refresh.
 
     Full runs rarely reach multi-rank constraints (tRRD/tFAW windows on
@@ -141,11 +112,8 @@ def test_random_walk_multirank_with_refresh(monkeypatch, backend):
     legal command, a seeded coin issues one (or lets a refresh start),
     and every query is re-verified.
     """
-    _require_backend(backend)
-    monkeypatch.setenv("REPRO_LEGALITY_BACKEND", backend)
     timing = DDR2Timing(t_refi=1_200)
     dram = DramSystem(timing, num_ranks=2, num_banks=4)
-    assert dram.kernel.backend == backend
     rng = random.Random(20060)
     open_rows = 8
     for now in range(4_000):
@@ -174,14 +142,3 @@ def test_random_walk_multirank_with_refresh(monkeypatch, backend):
         _assert_kernel_matches_reference(dram, f"walk cycle {now}")
     assert dram.refresh_count > 0, "walk never exercised a refresh"
 
-
-def test_forced_numpy_without_numpy_raises(monkeypatch):
-    """No silent fallback: forcing numpy must fail loudly when absent."""
-    if _numpy() is not None:
-        import repro.dram.legality as legality
-
-        monkeypatch.setattr(legality, "_np", None)
-        monkeypatch.setattr(legality, "_np_checked", True)
-    monkeypatch.setenv("REPRO_LEGALITY_BACKEND", "numpy")
-    with pytest.raises(RuntimeError, match="numpy"):
-        DramSystem(DDR2Timing())

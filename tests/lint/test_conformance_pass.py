@@ -13,75 +13,16 @@ class TestPolicyConformance:
             "base.py": BASE,
             "good.py": """
                 from .base import SchedulingPolicy
-                from .packing import KeyField
 
 
                 class GoodPolicy(SchedulingPolicy):
+                    fq_bank_rule = True
+
                     def key_field_names(self):
                         return ("virtual_finish", "arrival")
 
-                    def key_field_specs(self):
-                        return (
-                            KeyField("virtual_finish", 40),
-                            KeyField("arrival", 24),
-                        )
-            """,
-        })
-        assert run_rule("POL300", project) == []
-
-    def test_specs_without_names_is_flagged(self, project_of, run_rule):
-        project = project_of({
-            "base.py": BASE,
-            "bad.py": """
-                from .base import SchedulingPolicy
-                from .packing import KeyField
-
-
-                class SpecsOnly(SchedulingPolicy):
-                    def key_field_specs(self):
-                        return (KeyField("arrival", 24),)
-            """,
-        })
-        findings = run_rule("POL300", project)
-        assert len(findings) == 1
-        assert "inherits key_field_names" in findings[0].message
-
-    def test_mismatched_labels_are_flagged(self, project_of, run_rule):
-        project = project_of({
-            "base.py": BASE,
-            "bad.py": """
-                from .base import SchedulingPolicy
-                from .packing import KeyField
-
-
-                class Mismatched(SchedulingPolicy):
-                    def key_field_names(self):
-                        return ("virtual_finish", "arrival")
-
-                    def key_field_specs(self):
-                        return (
-                            KeyField("finish_time", 40),
-                            KeyField("arrival", 24),
-                        )
-            """,
-        })
-        findings = run_rule("POL300", project)
-        assert len(findings) == 1
-        assert "do not match" in findings[0].message
-
-    def test_dynamic_specs_are_skipped(self, project_of, run_rule):
-        project = project_of({
-            "base.py": BASE,
-            "dynamic.py": """
-                from .base import SchedulingPolicy
-
-
-                class DynamicSpecs(SchedulingPolicy):
-                    def key_field_names(self):
-                        return ("virtual_finish", "arrival")
-
-                    def key_field_specs(self):
-                        return self._base_specs() + self._tail_specs()
+                    def request_key(self, request):
+                        return (request.virtual_finish_time, request.arrival_time)
             """,
         })
         assert run_rule("POL300", project) == []

@@ -86,4 +86,4 @@ def test_legality_kernel_traffic_is_harvested():
     system, _ = _run("FQ-VFTF", "event", obs=True)
     metrics = system.obs.metrics()
     assert metrics.get("legality.queries", 0) > 0
-    assert "legality.backend" in system.obs.registry.labels()
+    assert "legality.syncs" in metrics

@@ -32,8 +32,8 @@ class TestMetricsRegistry:
 
     def test_labels_are_separate_from_metrics(self):
         reg = MetricsRegistry()
-        reg.label("legality.backend", "numpy")
-        assert reg.labels() == {"legality.backend": "numpy"}
+        reg.label("run.source", "fresh")
+        assert reg.labels() == {"run.source": "fresh"}
         assert reg.metrics() == {}
         assert len(reg) == 0
 
@@ -45,7 +45,7 @@ class TestMetricsRegistry:
 class TestCounterStructs:
     def test_kernel_counters_start_at_zero(self):
         c = KernelCounters()
-        assert (c.queries, c.batch_queries, c.rebuilds, c.syncs) == (0, 0, 0, 0)
+        assert (c.queries, c.syncs) == (0, 0)
 
     def test_key_cache_hit_ratio(self):
         c = KeyCacheCounters()

@@ -7,7 +7,8 @@ a four-processor mix, across distinct workload seeds, a run with the
 event engine must produce a ``SimResult`` identical bit for bit to the
 same run stepped cycle by cycle — with the runtime checkers attached,
 so the skipping engine also satisfies the DRAM protocol sanitizer and
-scheduler invariant checker.
+scheduler invariant checker.  Multi-channel systems, where the wake
+index shards one heap per channel, get the same differential.
 """
 
 import dataclasses
@@ -53,23 +54,29 @@ class TestEngineBitIdentity:
         assert not any(k.startswith("engine_") for k in oracle.extras)
 
 
-class TestWakeIndexKnob:
-    @pytest.mark.parametrize("policy", DEFAULT_POLICIES)
-    def test_scan_oracle_knob_is_bit_identical(self, policy, monkeypatch):
-        """`REPRO_WAKE_INDEX=0` swaps the engine's targeting/dispatch
-        machinery without moving a single result bit — with the runtime
-        checkers attached, so the scan path also stays protocol-clean."""
-        monkeypatch.setenv("REPRO_WAKE_INDEX", "0")
-        oracle_scan, event_scan = run_engine_pair(
-            policy, CYCLES, workload=PAIR, warmup=WARMUP, check=True
-        )
-        monkeypatch.delenv("REPRO_WAKE_INDEX")
-        oracle_idx, event_idx = run_engine_pair(
-            policy, CYCLES, workload=PAIR, warmup=WARMUP, check=True
-        )
-        assert _as_dict(event_scan) == _as_dict(event_idx)
-        assert _as_dict(oracle_scan) == _as_dict(oracle_idx)
-        assert _as_dict(event_idx) == _as_dict(oracle_idx)
+#: Moderate-intensity mix that keeps every channel busy but unsaturated,
+#: tiled across the cores of the multi-channel systems.
+TILED_MIX = ("crafty", "parser", "vpr", "twolf")
+
+
+class TestMultiChannel:
+    @pytest.mark.parametrize(
+        "num_cores, num_channels", [(8, 2), (16, 4)], ids=["8c2ch", "16c4ch"]
+    )
+    @pytest.mark.parametrize("policy", ["FR-FCFS", "FQ-VFTF", "BLISS", "MISE"])
+    def test_sharded_event_matches_cycle_oracle(self, policy, num_cores, num_channels):
+        """One wake-index shard per channel, checkers attached."""
+        profiles = [profile(TILED_MIX[i % len(TILED_MIX)]) for i in range(num_cores)]
+        results = {}
+        for engine in ("cycle", "event"):
+            config = SystemConfig(
+                policy=policy, num_cores=num_cores, num_channels=num_channels,
+                seed=2, engine=engine,
+            )
+            system = CmpSystem(config, profiles, check=True)
+            results[engine] = _as_dict(system.run(6_000, warmup=1_500))
+        assert results["event"] == results["cycle"]
+        assert len(system._windex._heaps) == num_channels + 1
 
 
 class TestFastForwardFlag:
