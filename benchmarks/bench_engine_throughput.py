@@ -19,12 +19,15 @@ oracle on the pair workload.
 A second section times system construction's dominant cost, warming
 one core's L2 from a cold memo: the batched path against the
 per-record replay it replaced, seconds per core as min/median/max over
-rounds, with its own tripwire.  Every system build in a fresh process
-(each serve job, each pool worker's first build) pays it.
+rounds, with its own tripwire.  A third arm, ``shipped``, restores the
+core from image bytes handed in by another process — what a serve job
+or pool worker pays for a core some earlier worker already warmed —
+with a tripwire on its speedup over ``batched``.
 """
 
 import itertools
 import os
+import pickle
 import statistics
 from pathlib import Path
 from time import perf_counter
@@ -62,6 +65,12 @@ PREWARM_ROUNDS = 5
 #: factor (medians over rounds).  Well below the measured ~2x, so
 #: runner noise does not trip it; losing the batching does.
 PREWARM_SPEEDUP_FLOOR = 1.5
+
+#: Restoring a core from handed-in image bytes must beat a cold batched
+#: warm-up by at least this factor (medians over rounds).  Measured at
+#: ~3 ms against 80-120 ms, so only a restore that warms or copies per
+#: line again trips it.
+SHIPPED_SPEEDUP_FLOOR = 5.0
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -119,40 +128,65 @@ def _measure_all(cycles: int):
     return rows
 
 
-def _batched_prewarm(hierarchy, workload, seed, base_address):
+def _batched_prewarm(hierarchy, workload, seed, base_address, key):
     """What a cold system build runs: draw-loop chunks into ``Cache.warm``."""
     CmpSystem._prewarm_memo.clear()
-    CmpSystem._prewarm(hierarchy, workload, seed, base_address)
+    CmpSystem._prewarm(hierarchy, workload, seed, base_address, key)
 
 
-def _replay_prewarm(hierarchy, workload, seed, base_address):
+def _replay_prewarm(hierarchy, workload, seed, base_address, key):
     """The replaced path: one ``TraceRecord`` and one ``Cache.fill`` per reference."""
     l2 = hierarchy.l2
     touches = min(4 * workload.working_set_lines, 40_000)
     for record in itertools.islice(workload.make_trace(seed, base_address), touches):
         l2.fill(hierarchy.line_of(record.address), dirty=record.is_write)
-    l2.snapshot()  # a cold build snapshots its image into the memo too
+    # A cold build pickles its image into the memo too.
+    pickle.dumps(l2.snapshot(), pickle.HIGHEST_PROTOCOL)
+
+
+def _shipped_prewarm(images):
+    """A build handed ``images`` by another process: adopt, then restore."""
+
+    def warm(hierarchy, workload, seed, base_address, key):
+        CmpSystem._prewarm_memo.clear()
+        CmpSystem.adopt_images({key: images[key]})
+        CmpSystem._prewarm(hierarchy, workload, seed, base_address, key)
+
+    return warm
 
 
 def _prewarm_seconds(warm) -> float:
     """Mean seconds to warm one core's L2 over :data:`PREWARM_MIX`."""
     config = SystemConfig(num_cores=len(PREWARM_MIX))
+    profiles = [lookup_profile(name) for name in PREWARM_MIX]
+    keys = CmpSystem.prewarm_keys(config, profiles)
     elapsed = 0.0
-    for core_id, name in enumerate(PREWARM_MIX):
+    for core_id, workload in enumerate(profiles):
         hierarchy = CacheHierarchy(config.l1i, config.l1d, config.l2)
         base_address = core_id * config.thread_address_stride
         start = perf_counter()
-        warm(hierarchy, lookup_profile(name), config.seed, base_address)
+        warm(hierarchy, workload, config.seed, base_address, keys[core_id])
         elapsed += perf_counter() - start
     return elapsed / len(PREWARM_MIX)
 
 
+def _worker_images():
+    """The image bytes a worker that warmed :data:`PREWARM_MIX` hands back."""
+    CmpSystem._prewarm_memo.clear()
+    _prewarm_seconds(CmpSystem._prewarm)
+    images = dict(CmpSystem._prewarm_memo)
+    CmpSystem._prewarm_memo.clear()
+    return images
+
+
 def _measure_prewarm():
-    """Seconds per core, batched vs replay, alternating within each round."""
-    samples = {"batched": [], "replay": []}
+    """Seconds per core, batched vs replay vs shipped, alternating within each round."""
+    shipped = _shipped_prewarm(_worker_images())
+    samples = {"batched": [], "replay": [], "shipped": []}
     for _ in range(PREWARM_ROUNDS):
         samples["batched"].append(_prewarm_seconds(_batched_prewarm))
         samples["replay"].append(_prewarm_seconds(_replay_prewarm))
+        samples["shipped"].append(_prewarm_seconds(shipped))
     row = {
         path: {
             "min_s": round(min(values), 5),
@@ -161,9 +195,9 @@ def _measure_prewarm():
         }
         for path, values in samples.items()
     }
-    row["speedup"] = round(
-        statistics.median(samples["replay"]) / statistics.median(samples["batched"]), 3
-    )
+    batched = statistics.median(samples["batched"])
+    row["speedup"] = round(statistics.median(samples["replay"]) / batched, 3)
+    row["shipped_speedup"] = round(batched / statistics.median(samples["shipped"]), 3)
     row["host_cpus"] = os.cpu_count()
     return row
 
@@ -179,13 +213,14 @@ def test_engine_throughput(benchmark, cycles):
                     f" {row['cycles_per_second']:10,.0f} cyc/s"
                     f"  skip {row['skip_ratio']:.1%}"
                 )
-    for path in ("batched", "replay"):
+    for path in ("batched", "replay", "shipped"):
         times = prewarm[path]
         print(
             f"  cold prewarm {path:8s} {1000 * times['median_s']:7.1f} ms/core"
             f"  [{1000 * times['min_s']:.1f}, {1000 * times['max_s']:.1f}]"
         )
     print(f"  cold prewarm speedup {prewarm['speedup']:.2f}x")
+    print(f"  shipped image speedup {prewarm['shipped_speedup']:.2f}x over batched")
 
     write_bench_record(
         RESULT_PATH,
@@ -232,4 +267,10 @@ def test_engine_throughput(benchmark, cycles):
     assert prewarm["speedup"] >= PREWARM_SPEEDUP_FLOOR, (
         f"batched prewarm only {prewarm['speedup']:.2f}x the record replay "
         f"(floor {PREWARM_SPEEDUP_FLOOR}x)"
+    )
+
+    # CI tripwire: a handed-in image restores far faster than warming.
+    assert prewarm["shipped_speedup"] >= SHIPPED_SPEEDUP_FLOOR, (
+        f"shipped image restore only {prewarm['shipped_speedup']:.2f}x the "
+        f"batched warm-up (floor {SHIPPED_SPEEDUP_FLOOR}x)"
     )

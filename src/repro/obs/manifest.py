@@ -303,7 +303,6 @@ def run_manifest(
         labels["run.tenant"] = str(tenant)
     if obs is not None:
         metrics.update(obs.registry.metrics())
-        labels.update(obs.registry.labels())
     metrics["run.attempts"] = float(attempts)
     metrics["result.cycles"] = float(result.cycles)
     for i, thread in enumerate(result.threads):

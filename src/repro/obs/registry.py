@@ -1,8 +1,8 @@
 """The metrics registry: named counters, gauges, and timers.
 
 The registry is the *cold* half of the observability layer: a flat
-``dotted.name -> float`` table plus a parallel string-label table,
-filled in at finalize time and serialized into run manifests.  The
+``dotted.name -> float`` table, filled in at finalize time and
+serialized into run manifests.  The
 *hot* half is a handful of ``__slots__`` counter structs
 (:class:`KernelCounters`, :class:`KeyCacheCounters`) that hot loops
 bump through plain attribute adds behind ``x is None`` guards — the
@@ -23,13 +23,12 @@ from typing import Dict, Iterable, Tuple
 
 
 class MetricsRegistry:
-    """Flat table of named counters/gauges (floats) and labels (strings)."""
+    """Flat table of named counters/gauges (floats)."""
 
-    __slots__ = ("_metrics", "_labels")
+    __slots__ = ("_metrics",)
 
     def __init__(self) -> None:
         self._metrics: Dict[str, float] = {}
-        self._labels: Dict[str, str] = {}
 
     # -- writers -----------------------------------------------------------
 
@@ -49,19 +48,11 @@ class MetricsRegistry:
         """
         self.count(name, seconds)
 
-    def label(self, name: str, value: str) -> None:
-        """Attach a string-valued annotation (backend names, modes)."""
-        self._labels[name] = str(value)
-
     # -- readers -----------------------------------------------------------
 
     def metrics(self) -> Dict[str, float]:
         """Name-sorted copy of every numeric metric."""
         return {name: self._metrics[name] for name in sorted(self._metrics)}
-
-    def labels(self) -> Dict[str, str]:
-        """Name-sorted copy of every string label."""
-        return {name: self._labels[name] for name in sorted(self._labels)}
 
     def get(self, name: str, default: float = 0.0) -> float:
         return self._metrics.get(name, default)

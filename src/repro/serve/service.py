@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import env
 from ..obs import fleet
@@ -37,7 +37,7 @@ from ..obs.registry import MetricsRegistry
 from ..sim import cache as result_cache
 from ..sim import parallel
 from ..sim.retry import RetryPolicy, WorkerCrashError
-from ..sim.system import SimResult
+from ..sim.system import CmpSystem, SimResult
 from . import clock
 from .queue import FairJobQueue, Job
 from .spec import SweepSpec, job_cost
@@ -50,7 +50,8 @@ TIMEOUT_ENV_VAR = "REPRO_SERVE_TIMEOUT"
 DEFAULT_WORKERS = 2
 DEFAULT_TIMEOUT_S = 600.0
 
-#: How often the scheduler wakes to pump heartbeats / re-check slots.
+#: How often the scheduler wakes to pump heartbeats when nothing else
+#: wakes it (job finish, requeue and submit dispatch at once).
 _TICK_S = 0.02
 
 
@@ -65,18 +66,22 @@ def default_timeout_s() -> float:
 # -- the per-job worker subprocess ----------------------------------------
 
 
-def _child_main(spec: parallel.RunSpec, conn: Any, queue: Any) -> None:
-    """Worker entry: simulate one spec, send ('ok', result) | ('err', tb).
+def _child_main(
+    spec: parallel.RunSpec, images: Dict[Tuple, bytes], conn: Any, queue: Any
+) -> None:
+    """Worker entry: simulate one spec, send ('ok', (result, images)) | ('err', tb).
 
-    A worker that dies (or is killed) before sending anything is the
-    crash signature the parent classifies as retryable; a simulation
-    exception travels back as a deterministic ``err`` and is *not*
-    retried.
+    ``images`` are the warm-L2 images the parent holds for the spec's
+    cores; the ones this run builds go back with the result (see
+    :func:`repro.sim.parallel.execute_exchanging`).  A worker that dies
+    (or is killed) before sending anything is the crash signature the
+    parent classifies as retryable; a simulation exception travels back
+    as a deterministic ``err`` and is *not* retried.
     """
     if queue is not None:
         fleet.init_worker(queue)
     try:
-        result = parallel.execute_spec(spec)
+        result = parallel.execute_exchanging(spec, images)
     except BaseException:
         try:
             conn.send(("err", traceback.format_exc()))
@@ -93,9 +98,12 @@ class ProcessJobExecutor:
     One process per job (not a shared pool) is deliberate: a kill
     affects exactly one job, the pid is known for status displays and
     chaos tests, and a timeout can hard-kill the worker without
-    poisoning siblings.  Environments that cannot fork degrade to
-    in-thread execution (no timeout, no crash isolation — but sweeps
-    still complete, matching ``run_many``'s inline fallback).
+    poisoning siblings.  Each worker is handed the warm-L2 images this
+    process holds for its job and returns the ones it built, so only
+    the first build of each core image pays a cold warm-up.
+    Environments that cannot fork degrade to in-thread execution (no
+    timeout, no crash isolation — but sweeps still complete, matching
+    ``run_many``'s inline fallback).
     """
 
     def __init__(self, timeout_s: Optional[float] = None, heartbeat_queue: Any = None):
@@ -105,19 +113,28 @@ class ProcessJobExecutor:
         self.pids: Dict[int, int] = {}
 
     async def run(self, job: Job) -> SimResult:
+        # The memo is read here and written below, both on the event
+        # loop's thread, so concurrent jobs need no lock around it.
+        images = parallel.spec_images(job.spec)
         try:
-            return await asyncio.to_thread(self._run_subprocess, job)
+            result, built = await asyncio.to_thread(
+                self._run_subprocess, job, images
+            )
         except (OSError, PermissionError, NotImplementedError):
             # No subprocesses in this sandbox: run inline.
             return await asyncio.to_thread(parallel.execute_spec, job.spec)
+        CmpSystem.adopt_images(built)
+        return result
 
-    def _run_subprocess(self, job: Job) -> SimResult:
+    def _run_subprocess(
+        self, job: Job, images: Dict[Tuple, bytes]
+    ) -> Tuple[SimResult, Dict[Tuple, bytes]]:
         import multiprocessing
 
         parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
         process = multiprocessing.Process(
             target=_child_main,
-            args=(job.spec, child_conn, self.heartbeat_queue),
+            args=(job.spec, images, child_conn, self.heartbeat_queue),
             daemon=True,
         )
         process.start()
@@ -133,7 +150,9 @@ class ProcessJobExecutor:
                 process.kill()
             process.join()
 
-    def _await_worker(self, job: Job, process: Any, conn: Any) -> SimResult:
+    def _await_worker(
+        self, job: Job, process: Any, conn: Any
+    ) -> Tuple[SimResult, Dict[Tuple, bytes]]:
         timeout_s = self.timeout_s
         deadline = clock.monotonic() + timeout_s if timeout_s else None
         while True:
@@ -215,6 +234,9 @@ class ExperimentService:
         self._stopping = False
         self._scheduler_task: Optional["asyncio.Task[None]"] = None
         self._idle: Optional[asyncio.Event] = None
+        #: Set when a slot frees or a job becomes ready: wakes the
+        #: scheduler before its tick.
+        self._wake: Optional[asyncio.Event] = None
         #: Terminal-state tallies (the manifest/status surface).
         self.counts: Dict[str, int] = {
             "submitted": 0, "cached": 0, "done": 0,
@@ -240,6 +262,7 @@ class ExperimentService:
             return
         self._idle = asyncio.Event()
         self._idle.set()
+        self._wake = asyncio.Event()
         self._scheduler_task = asyncio.create_task(self._scheduler())
 
     async def stop(self, drain: bool = True) -> None:
@@ -297,6 +320,8 @@ class ExperimentService:
         self.counts["cached"] += cached
         if queued and self._idle is not None:
             self._idle.clear()
+        if queued:
+            self._wake_scheduler()
         return {
             "tenant": tenant,
             "share": share,
@@ -337,26 +362,39 @@ class ExperimentService:
         cycle = total if state in ("done", "cached") else 0
         self.state.observe(fleet.heartbeat_event(run_id, state, cycle, total))
 
+    def _wake_scheduler(self) -> None:
+        if self._wake is not None:
+            self._wake.set()
+
     async def _scheduler(self) -> None:
+        wake = self._wake
+        assert wake is not None
+        loop = asyncio.get_running_loop()
         while True:
             if self._heartbeats is not None:
                 self._heartbeats.pump()
-            launched = False
             while len(self._running) < self.workers:
                 job = self.queue.pop()
                 if job is None:
                     break
                 task = asyncio.create_task(self._run_job(job))
                 self._running[job.job_id] = task
-                launched = True
-            if not launched:
-                await asyncio.sleep(_TICK_S)
+            # No await since the dispatch pass: a wake set from here on
+            # is one it has not seen.  (Not asyncio.wait_for: before
+            # Python 3.12 it can swallow the cancel ``stop`` sends.)
+            wake.clear()
+            tick = loop.call_later(_TICK_S, wake.set)
+            try:
+                await wake.wait()
+            finally:
+                tick.cancel()
 
     async def _run_job(self, job: Job) -> None:
         try:
             await self._execute(job)
         finally:
             self._running.pop(job.job_id, None)
+            self._wake_scheduler()
 
     async def _execute(self, job: Job) -> None:
         run_id = self._run_id(job)
@@ -426,6 +464,7 @@ class ExperimentService:
         if delay_s > 0:
             await asyncio.sleep(delay_s)
         self.queue.requeue(job)
+        self._wake_scheduler()
 
     def _record_success(self, job: Job, result: SimResult) -> None:
         from ..sim import runner

@@ -19,6 +19,11 @@ only, so a child process simulates the exact same machine as the
 parent would; ``run_many(jobs=4)`` returns bit-identical results to
 ``jobs=1``.  With ``jobs=1`` (the default) no pool is created and
 everything runs in-process.
+
+Warm L2 images cross the process boundary both ways: a worker is handed
+the images the parent holds for its spec's cores and returns the ones it
+built (:func:`execute_exchanging`), so only the first build of each core
+image pays a cold warm-up.
 """
 
 from __future__ import annotations
@@ -181,6 +186,31 @@ def execute_spec(spec: RunSpec) -> SimResult:
     if out_dir:
         _write_run_manifest(out_dir, spec, system, result)
     return result
+
+
+def spec_images(spec: RunSpec) -> Dict[Tuple, bytes]:
+    """The warm-L2 images this process holds for ``spec``'s cores."""
+    return CmpSystem.prewarm_images(CmpSystem.prewarm_keys(*spec.build()))
+
+
+def execute_exchanging(
+    spec: RunSpec, images: Dict[Tuple, bytes]
+) -> Tuple[SimResult, Dict[Tuple, bytes]]:
+    """Worker side of the warm-L2 image exchange: simulate ``spec``.
+
+    ``images`` (the parent's :func:`spec_images`) are adopted into this
+    process's memo first, so their cores restore instead of warming.
+    Returns the result and the images this run built — ``spec``'s keys
+    that this process did not hold before — for the parent to adopt and
+    hand to later workers.  Images are pickled bytes and travel as
+    arguments and results, never through fork inheritance.
+    """
+    CmpSystem.adopt_images(images)
+    keys = CmpSystem.prewarm_keys(*spec.build())
+    held = CmpSystem.prewarm_images(keys)
+    result = execute_spec(spec)
+    built = [key for key in keys if key not in held]
+    return result, CmpSystem.prewarm_images(built)
 
 
 def _write_run_manifest(out_dir: str, spec: RunSpec, system, result) -> None:
@@ -390,8 +420,11 @@ def _pool_round(
 ) -> Tuple[List[Tuple[RunSpec, SimResult]], List[RunSpec]]:
     """One pool generation: (completed results, crash-orphaned specs).
 
-    Raises pool-construction errors (handled by the caller's inline
-    fallback) and any genuine exception a simulation itself raised.
+    Each spec is submitted with the warm-L2 images this process holds
+    for it, and the images a finished worker built are adopted here, so
+    later rounds and batches start warm.  Raises pool-construction
+    errors (handled by the caller's inline fallback) and any genuine
+    exception a simulation itself raised.
     """
     initializer = fleet.init_worker if monitor is not None else None
     initargs = (monitor.queue,) if monitor is not None else ()
@@ -401,7 +434,10 @@ def _pool_round(
         initializer=initializer,
         initargs=initargs,
     ) as pool:
-        futures = {pool.submit(execute_spec, spec): spec for spec in specs}
+        futures = {
+            pool.submit(execute_exchanging, spec, spec_images(spec)): spec
+            for spec in specs
+        }
         finished: List[Tuple[RunSpec, SimResult]] = []
         crashed: List[RunSpec] = []
         pending = set(futures)
@@ -415,7 +451,9 @@ def _pool_round(
             for future in ready:
                 exc = future.exception()
                 if exc is None:
-                    finished.append((futures[future], future.result()))
+                    result, images = future.result()
+                    CmpSystem.adopt_images(images)
+                    finished.append((futures[future], result))
                 elif is_worker_crash(exc):
                     crashed.append(futures[future])
                     broken = True

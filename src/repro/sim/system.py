@@ -12,16 +12,17 @@ banks, rows, and buses through the shared address map).
 
 from __future__ import annotations
 
+import gc
 import heapq
+import pickle
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..check import RunChecker, checks_enabled
 from ..controller.address_map import AddressMap
 from ..controller.controller import MemoryController
 from ..controller.request import MemoryRequest, RequestKind
-from ..cpu.cache import CacheImage
 from ..cpu.core_model import OooCore
 from ..cpu.hierarchy import CacheHierarchy
 from ..dram.dram_system import DramSystem
@@ -250,11 +251,14 @@ class CmpSystem:
         #: unblock probe re-runs only when the version moved.
         self._wb_blocked: Dict[int, Tuple[int, int]] = {}
         self.cores: List[OooCore] = []
+        keys = self.prewarm_keys(config, self.profiles)
         for core_id, workload in enumerate(self.profiles):
             base_address = core_id * config.thread_address_stride
             generator = workload.make_trace(config.seed, base_address)
             hierarchy = CacheHierarchy(config.l1i, config.l1d, config.l2)
-            self._prewarm(hierarchy, workload, config.seed, base_address)
+            self._prewarm(
+                hierarchy, workload, config.seed, base_address, keys[core_id]
+            )
             core = OooCore(
                 core_id=core_id,
                 config=config.core,
@@ -294,15 +298,61 @@ class CmpSystem:
             self._obs_phases = run_obs.phases
             run_obs.attach(self)
 
-    #: Memoized warm L2 images (:meth:`Cache.snapshot`), keyed by
-    #: (workload, seed, base address, L2 config): the image is a pure
-    #: function of the prewarm stream and the whole L2 geometry, so a
-    #: restore is bit-identical to warming from the stream — the
-    #: dominant cost of building a system, paid repeatedly by benchmark
-    #: rounds and sweeps that rebuild the same workloads.  Bounded,
+    #: Memoized warm L2 images, pickled (``pickle.dumps`` of
+    #: :meth:`Cache.snapshot`), keyed by :meth:`prewarm_keys`: the image
+    #: is a pure function of the prewarm stream and the whole L2
+    #: geometry, so a restore is bit-identical to warming from the
+    #: stream — the dominant cost of building a system, paid repeatedly
+    #: by benchmark rounds and sweeps that rebuild the same workloads.
+    #: Pickled, an image is ~8x smaller than as tuples and costs ~1 ms to
+    #: load, and the bytes cross process boundaries as they are (see
+    #: :func:`repro.sim.parallel.execute_exchanging`).  Bounded,
     #: least-recently-inserted eviction.
-    _prewarm_memo: "OrderedDict[Tuple, CacheImage]" = OrderedDict()
+    _prewarm_memo: "OrderedDict[Tuple, bytes]" = OrderedDict()
     _PREWARM_MEMO_CAP = 64
+
+    @staticmethod
+    def prewarm_keys(
+        config: SystemConfig, profiles: Sequence
+    ) -> List[Optional[Tuple]]:
+        """Each core's warm-L2 memo key: (workload, seed, base address, L2).
+
+        ``None`` marks a core whose image is never memoized, exported
+        or adopted.  A trace read from a file (``reads_file``) is keyed
+        by its path, not by the file's content, so an image could be
+        stale; an unhashable workload (e.g. a mutable trace replay)
+        cannot be a key at all.
+        """
+        keys: List[Optional[Tuple]] = []
+        for core_id, workload in enumerate(profiles):
+            key: Optional[Tuple] = None
+            if not getattr(workload, "reads_file", False):
+                key = (
+                    workload,
+                    config.seed,
+                    core_id * config.thread_address_stride,
+                    config.l2,
+                )
+                try:
+                    hash(key)
+                except TypeError:
+                    key = None
+            keys.append(key)
+        return keys
+
+    @classmethod
+    def prewarm_images(cls, keys: Iterable[Optional[Tuple]]) -> Dict[Tuple, bytes]:
+        """The memoized images of ``keys``; ``None`` and misses are skipped."""
+        memo = cls._prewarm_memo
+        return {key: memo[key] for key in keys if key is not None and key in memo}
+
+    @classmethod
+    def adopt_images(cls, images: Dict[Tuple, bytes]) -> None:
+        """Memoize ``images`` (from :meth:`prewarm_images`, maybe another process's)."""
+        memo = cls._prewarm_memo
+        memo.update(images)
+        while len(memo) > cls._PREWARM_MEMO_CAP:
+            memo.popitem(last=False)
 
     @classmethod
     def _prewarm(
@@ -311,37 +361,39 @@ class CmpSystem:
         workload,
         seed: int,
         base_address: int,
+        key: Optional[Tuple],
     ) -> None:
         """Warm the L2 with the workload's prewarm stream.
 
         The stream comes from a twin of the live trace, so measurement
         starts in cache steady state without perturbing the replay.
+        ``key`` (from :meth:`prewarm_keys`) looks the image up in the
+        memo first and stores it there after a cold warm-up.
         """
         l2 = hierarchy.l2
-        key: Optional[Tuple] = None
-        image: Optional[CacheImage] = None
-        # A trace read from a file is keyed by its path, not by the
-        # file's content, so a memoized image could be stale.
-        if not getattr(workload, "reads_file", False):
-            key = (workload, seed, base_address, l2.config)
+        blob = cls._prewarm_memo.get(key) if key is not None else None
+        if blob is not None:
+            # The unpickled image is ~9k small tuples, freed by
+            # reference counting as soon as restore returns.  Allocating
+            # them with the collector on runs ~13 young collections per
+            # restore, and those cascade into full ones: over the
+            # manycore benchmark's 10 builds, 2.5x the collections (21
+            # full vs 8) and ~10% more wall time without this pause.
+            enabled = gc.isenabled()
+            gc.disable()
             try:
-                image = cls._prewarm_memo.get(key)
-            except TypeError:
-                # Unhashable workload (e.g. a mutable trace replay): skip
-                # the memo and warm from the stream directly.
-                key = None
-        if image is not None:
-            l2.restore(image)
+                l2.restore(pickle.loads(blob))
+            finally:
+                if enabled:
+                    gc.enable()
         else:
             line_of = hierarchy.line_of
             warm = l2.warm
             for addresses, writes in workload.prewarm_stream(seed, base_address):
                 warm(map(line_of, addresses), writes)
             if key is not None:
-                memo = cls._prewarm_memo
-                memo[key] = l2.snapshot()
-                while len(memo) > cls._PREWARM_MEMO_CAP:
-                    memo.popitem(last=False)
+                image = pickle.dumps(l2.snapshot(), pickle.HIGHEST_PROTOCOL)
+                cls.adopt_images({key: image})
         l2.hits = 0
         l2.misses = 0
         l2.writebacks = 0

@@ -30,13 +30,6 @@ class TestMetricsRegistry:
         assert list(reg.metrics()) == ["a.first", "m.middle", "z.last"]
         assert list(dict(reg.items())) == ["a.first", "m.middle", "z.last"]
 
-    def test_labels_are_separate_from_metrics(self):
-        reg = MetricsRegistry()
-        reg.label("run.source", "fresh")
-        assert reg.labels() == {"run.source": "fresh"}
-        assert reg.metrics() == {}
-        assert len(reg) == 0
-
     def test_get_default(self):
         assert MetricsRegistry().get("missing") == 0.0
         assert MetricsRegistry().get("missing", -1.0) == -1.0

@@ -187,6 +187,31 @@ class TestRetrySemantics:
         assert "simulation bug" in job.error
 
 
+class TestDispatchWakeups:
+    @pytest.mark.parametrize("crash_first", [0, 1], ids=["finish", "requeue"])
+    def test_dispatch_does_not_wait_for_the_tick(
+        self, tmp_path, tiny_result, monkeypatch, crash_first
+    ):
+        # With a 30 s tick, only the submit, finish and requeue wakeups
+        # can drain four jobs through one worker inside the timeout.
+        monkeypatch.setattr("repro.serve.service._TICK_S", 30.0)
+        service = ExperimentService(
+            tmp_path, workers=1, retry_policy=FAST_RETRY,
+            executor=InstantExecutor(tiny_result, crash_first=crash_first),
+        )
+
+        async def scenario():
+            await service.start()
+            await asyncio.sleep(0)  # the scheduler parks on its tick
+            service.submit_sweep("alice", small_sweep())
+            await asyncio.wait_for(service.drain(), timeout=10)
+            await service.stop()
+
+        run(scenario())
+        assert service.counts["done"] == 4
+        assert service.counts["retried"] == crash_first
+
+
 class TestFairnessDogfood:
     def test_two_tenant_busy_shares_track_phi(self, tmp_path, tiny_result):
         """The acceptance check: φ=2:1 tenants, both backlogged from
