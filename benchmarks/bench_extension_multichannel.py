@@ -27,7 +27,7 @@ def run_sweep(cycles):
             )
             system = CmpSystem(config, [subject, background])
             result = system.run(cycles, warmup=default_warmup(cycles))
-            total_cas = sum(d.channel.cas_count for d in system.drams)
+            total_cas = sum(d.cas_count for d in system.drams)
             rows.append(
                 {
                     "channels": channels,

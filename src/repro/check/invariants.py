@@ -83,9 +83,9 @@ class SchedulerInvariantChecker:
         self.vtms = controller.vtms
         num_banks = controller.dram.num_banks
         self.banks: Dict[Tuple[int, int], _BankView] = {
-            (rank.index, bank.index): _BankView()
-            for rank in controller.dram.ranks
-            for bank in rank.banks
+            (rank, bank): _BankView()
+            for rank in range(controller.dram.num_ranks)
+            for bank in range(num_banks)
         }
         #: The FQ bank rule's bound x, resolved the way the controller
         #: resolves it (explicit override, else t_RAS).

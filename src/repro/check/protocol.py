@@ -3,10 +3,12 @@
 An independent re-implementation of the full DDR2 constraint set that
 *observes* every command the controller issues and validates it
 against its own per-bank / per-rank / per-channel timing ledger.  It
-deliberately shares no code with :mod:`repro.dram`: the device model
-answers "when is this command legal?" while the sanitizer answers "was
-that command legal?", so a bug in the model's earliest-issue algebra
-cannot hide itself from the check.
+deliberately shares no timing code with :mod:`repro.dram`: the device
+model answers "when is this command legal?" while the sanitizer
+answers "was that command legal?", so a bug in the model's
+earliest-issue algebra cannot hide itself from the check.  The
+side-effect-free :meth:`DramProtocolSanitizer.check` is therefore also
+the one oracle of :class:`~repro.dram.legality.LegalityKernel`.
 
 Checked constraints:
 
@@ -61,8 +63,13 @@ class CheckError(AssertionError):
 class ProtocolViolation(CheckError):
     """A command violated a DDR2 protocol constraint.
 
+    The report is rendered when the violation is shown, not when it is
+    raised: probing :meth:`DramProtocolSanitizer.check` as an oracle
+    raises far more violations than any run ever displays.
+
     Attributes:
         rule: Constraint identifier (``"t_rcd"``, ``"data-bus"``, ...).
+        message: What the offending command broke.
         cycle: Cycle the offending command issued.
         command: The offending command as a :data:`CommandRecord`.
         history: Recent commands, oldest first (bounded).
@@ -77,16 +84,23 @@ class ProtocolViolation(CheckError):
         history: List[CommandRecord],
     ):
         self.rule = rule
+        self.message = message
         self.cycle = cycle
         self.command = command
         self.history = history
-        lines = [f"DDR2 protocol violation [{rule}] at cycle {cycle}: {message}"]
-        if history:
+        super().__init__(rule, message, cycle, command, history)
+
+    def __str__(self) -> str:
+        lines = [
+            f"DDR2 protocol violation [{self.rule}] at cycle {self.cycle}: "
+            f"{self.message}"
+        ]
+        if self.history:
             lines.append("recent commands (oldest first):")
-            for entry in history:
+            for entry in self.history:
                 c, kind, rank, bank, row = entry
                 lines.append(f"  @{c:<10d} {kind:<10s} rank={rank} bank={bank} row={row}")
-        super().__init__("\n".join(lines))
+        return "\n".join(lines)
 
 
 class _BankLedger:
@@ -126,7 +140,8 @@ class DramProtocolSanitizer:
 
     Feed it every command via :meth:`on_command` and every refresh via
     :meth:`on_refresh`; it raises :class:`ProtocolViolation` the moment
-    a constraint is broken.
+    a constraint is broken.  :meth:`check` asks the same question of a
+    hypothetical command without recording it.
 
     Args:
         timing: The DDR2 constraint set the stream must respect.
@@ -176,6 +191,41 @@ class DramProtocolSanitizer:
         self, kind: CommandType, rank: int, bank: int, row: int, now: int
     ) -> None:
         """Validate and record one issued command."""
+        self.check(kind, rank, bank, row, now)
+        t = self.timing
+        rk = self.ranks[rank]
+        bk = rk.banks[bank]
+        if kind is CommandType.ACTIVATE:
+            bk.open_row = row
+            bk.last_activate = now
+            rk.last_activate = now
+            rk.activate_times.append(now)
+        elif kind is CommandType.PRECHARGE:
+            bk.open_row = None
+            bk.last_precharge = now
+        elif kind is CommandType.READ:
+            bk.last_read = now
+            self.last_cas_cycle = now
+            self.data_busy_until = now + t.t_cl + t.burst
+        else:
+            data_end = now + t.t_wl + t.burst
+            bk.write_data_end = data_end
+            rk.write_data_end = data_end
+            self.last_cas_cycle = now
+            self.data_busy_until = data_end
+        self.last_command_cycle = now
+        self.commands_checked += 1
+        self.history.append((now, kind.value, rank, bank, row))
+
+    def check(
+        self, kind: CommandType, rank: int, bank: int, row: int, now: int
+    ) -> None:
+        """Raise :class:`ProtocolViolation` unless the command is legal.
+
+        Side-effect free: the ledger is left as it was, so this is the
+        oracle ``repro.dram``'s earliest-issue answers are tested
+        against.
+        """
         t = self.timing
         record: CommandRecord = (now, kind.value, rank, bank, row)
         rk = self.ranks[rank]
@@ -201,14 +251,8 @@ class DramProtocolSanitizer:
 
         if kind is CommandType.ACTIVATE:
             self._check_activate(rk, bk, now, record)
-            bk.open_row = row
-            bk.last_activate = now
-            rk.last_activate = now
-            rk.activate_times.append(now)
         elif kind is CommandType.PRECHARGE:
             self._check_precharge(bk, now, record)
-            bk.open_row = None
-            bk.last_precharge = now
         elif kind is CommandType.READ:
             self._check_cas(bk, now, record)
             if now < rk.write_data_end + t.t_wtr:
@@ -220,17 +264,9 @@ class DramProtocolSanitizer:
                     record,
                 )
             self._check_data_bus(now + t.t_cl, now, record)
-            bk.last_read = now
-            self.last_cas_cycle = now
-            self.data_busy_until = now + t.t_cl + t.burst
         elif kind is CommandType.WRITE:
             self._check_cas(bk, now, record)
             self._check_data_bus(now + t.t_wl, now, record)
-            data_end = now + t.t_wl + t.burst
-            bk.write_data_end = data_end
-            rk.write_data_end = data_end
-            self.last_cas_cycle = now
-            self.data_busy_until = data_end
         else:
             self._fail(
                 "command-set",
@@ -238,10 +274,6 @@ class DramProtocolSanitizer:
                 now,
                 record,
             )
-
-        self.last_command_cycle = now
-        self.commands_checked += 1
-        self.history.append(record)
 
     def on_refresh(self, now: int) -> None:
         """Validate and record an all-bank refresh starting at ``now``."""

@@ -134,10 +134,11 @@ class MemoryController:
             bound = dram.timing.t_ras
         self.bank_schedulers: List[BankScheduler] = [
             BankScheduler(
-                rank, bank.index, dram, policy, self.vtms, bound,
+                rank, bank, dram, policy, self.vtms, bound,
                 row_policy=row_policy,
             )
-            for rank, bank in dram.iter_banks()
+            for rank in range(dram.num_ranks)
+            for bank in range(dram.num_banks)
         ]
         self._scheduler_index = {
             (s.rank, s.bank): s for s in self.bank_schedulers
@@ -492,7 +493,7 @@ class MemoryController:
     # -- reporting ----------------------------------------------------------------
 
     def data_bus_utilization(self, cycles: int) -> float:
-        return self.dram.channel.utilization(cycles)
+        return self.dram.utilization(cycles)
 
     def thread_bus_utilization(self, thread_id: int, cycles: int) -> float:
         if cycles <= 0:
@@ -503,7 +504,5 @@ class MemoryController:
         """Mean fraction of time banks spend between activate and precharge."""
         if cycles <= 0:
             return 0.0
-        total = sum(
-            bank.busy_cycles_at(self.now) for _, bank in self.dram.iter_banks()
-        )
+        total = sum(bank.busy_cycles_at(self.now) for bank in self.dram.banks)
         return total / (cycles * self.dram.num_banks * self.dram.num_ranks)

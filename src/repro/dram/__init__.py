@@ -1,19 +1,14 @@
-"""DDR2 SDRAM device model: timing, banks, ranks, channel, refresh."""
+"""DDR2 SDRAM device model: timing, banks, legality kernel, refresh."""
 
-from .bank import Bank, IllegalCommandError
-from .channel import Channel
+from .bank import Bank
 from .commands import Command, CommandType
 from .dram_system import DramSystem
-from .rank import Rank
 from .timing import DDR2Timing
 
 __all__ = [
     "Bank",
-    "Channel",
     "Command",
     "CommandType",
     "DramSystem",
     "DDR2Timing",
-    "IllegalCommandError",
-    "Rank",
 ]

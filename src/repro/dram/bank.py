@@ -1,63 +1,36 @@
-"""Per-bank SDRAM state machine and bank-local timing constraints.
+"""Per-bank SDRAM state: the open row and the bank's statistics.
 
 Each bank is a two-dimensional array of cells with a single row
 buffer.  An *activate* opens a row into the row buffer, *read*/*write*
 commands move data while the row is open, and a *precharge* closes the
-row.  The bank tracks the last time each relevant command was issued
-and answers "when is command X next legal?" — the bank scheduler uses
-this to decide readiness, and the DRAM system uses it to validate
-issue legality.
+row.  A bank records only what the schedulers, the statistics and the
+refresh engine read; :class:`~repro.dram.dram_system.DramSystem`
+updates it on every issued command, and all timing lives in the
+:class:`~repro.dram.legality.LegalityKernel`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .commands import CommandType
 from .timing import DDR2Timing
-
-#: Sentinel for "never happened"; far enough in the past that no
-#: constraint referencing it binds at time zero.
-_LONG_AGO = -(10**9)
-
-
-class IllegalCommandError(Exception):
-    """Raised when a command is issued that the bank state forbids."""
 
 
 class Bank:
-    """One SDRAM bank: row-buffer state plus bank-local timing."""
+    """One SDRAM bank: row-buffer state plus occupancy statistics."""
 
-    def __init__(self, index: int, timing: DDR2Timing):
-        self.index = index
+    def __init__(self, timing: DDR2Timing):
         self.timing = timing
         self.open_row: Optional[int] = None
-        self.last_activate = _LONG_AGO
-        self.last_precharge_issue = _LONG_AGO
-        #: Time the in-flight precharge completes (bank usable for ACT).
+        #: Issue cycle of the latest activate (the FQ inversion bound
+        #: and busy accounting count from it).
+        self.last_activate = 0
+        #: Cycle the latest precharge completes (refresh precondition).
         self.precharge_done = 0
-        self.last_read = _LONG_AGO
-        self.last_write = _LONG_AGO
-        #: Cycle the most recent write burst finishes on the data bus.
-        self.write_data_end = _LONG_AGO
-        #: Cycle the most recent read burst finishes on the data bus.
-        self.read_data_end = _LONG_AGO
-        #: Statistics: cycles with a row open (bank utilization proxy).
-        self.busy_until = 0
         #: Accumulated activate→precharge-done occupancy (utilization).
         self.busy_cycles = 0
         self.activate_count = 0
         self.precharge_count = 0
-
-    # -- state queries ---------------------------------------------------
-
-    @property
-    def is_open(self) -> bool:
-        return self.open_row is not None
-
-    def row_hit(self, row: int) -> bool:
-        """True when ``row`` is already in the row buffer."""
-        return self.open_row == row
 
     def state_service_time(self, row: int) -> int:
         """Bank service time a request to ``row`` needs right now.
@@ -71,116 +44,8 @@ class Bank:
             return self.timing.service_row_hit
         return self.timing.service_conflict
 
-    # -- earliest legal issue times ---------------------------------------
-
-    def earliest_activate(self) -> int:
-        """Earliest cycle an activate is legal (bank must be closed)."""
-        t = self.timing
-        return max(
-            self.precharge_done,
-            self.last_activate + t.t_rc,
-        )
-
-    def earliest_precharge(self) -> int:
-        """Earliest cycle a precharge is legal (row open)."""
-        t = self.timing
-        return max(
-            self.last_activate + t.t_ras,
-            self.last_read + t.t_rtp,
-            self.write_data_end + t.t_wr,
-        )
-
-    def earliest_cas(self) -> int:
-        """Earliest cycle a read/write is legal wrt this bank (row open)."""
-        return self.last_activate + self.timing.t_rcd
-
-    def earliest_issue(self, kind: CommandType) -> Optional[int]:
-        """Earliest legal cycle for ``kind``, or None if state forbids it.
-
-        Activates require a closed bank; precharges and CAS commands
-        require an open row.
-        """
-        if kind is CommandType.ACTIVATE:
-            if self.is_open:
-                return None
-            return self.earliest_activate()
-        if kind is CommandType.PRECHARGE:
-            if not self.is_open:
-                return None
-            return self.earliest_precharge()
-        if kind.is_cas:
-            if not self.is_open:
-                return None
-            return self.earliest_cas()
-        raise ValueError(f"bank cannot time {kind}")
-
-    # -- issue -------------------------------------------------------------
-
-    def issue(self, kind: CommandType, row: int, now: int) -> None:
-        """Apply command ``kind`` at cycle ``now``, updating bank state.
-
-        Raises:
-            IllegalCommandError: if the command violates bank state or a
-                bank-local timing constraint.
-        """
-        earliest = self.earliest_issue(kind)
-        if earliest is None:
-            raise IllegalCommandError(
-                f"bank {self.index}: {kind.value} illegal in state "
-                f"open_row={self.open_row}"
-            )
-        if now < earliest:
-            raise IllegalCommandError(
-                f"bank {self.index}: {kind.value} at {now} violates timing "
-                f"(earliest legal {earliest})"
-            )
-        t = self.timing
-        if kind is CommandType.ACTIVATE:
-            self.open_row = row
-            self.last_activate = now
-            self.busy_until = max(self.busy_until, now + t.t_ras)
-            self.activate_count += 1
-        elif kind is CommandType.PRECHARGE:
-            self.open_row = None
-            self.last_precharge_issue = now
-            self.precharge_done = now + t.t_rp
-            self.busy_until = max(self.busy_until, now + t.t_rp)
-            self.busy_cycles += (now + t.t_rp) - self.last_activate
-            self.precharge_count += 1
-        elif kind is CommandType.READ:
-            if self.open_row != row:
-                raise IllegalCommandError(
-                    f"bank {self.index}: read row {row} but open row is "
-                    f"{self.open_row}"
-                )
-            self.last_read = now
-            self.read_data_end = now + t.t_cl + t.burst
-            self.busy_until = max(self.busy_until, self.read_data_end)
-        elif kind is CommandType.WRITE:
-            if self.open_row != row:
-                raise IllegalCommandError(
-                    f"bank {self.index}: write row {row} but open row is "
-                    f"{self.open_row}"
-                )
-            self.last_write = now
-            self.write_data_end = now + t.t_wl + t.burst
-            self.busy_until = max(self.busy_until, self.write_data_end)
-        else:  # pragma: no cover - guarded by earliest_issue
-            raise ValueError(f"bank cannot issue {kind}")
-
     def busy_cycles_at(self, now: int) -> int:
         """Total activate→precharge occupancy, counting a still-open row."""
-        if self.is_open:
+        if self.open_row is not None:
             return self.busy_cycles + (now - self.last_activate)
         return self.busy_cycles
-
-    def refresh(self, now: int) -> None:
-        """Apply an all-bank refresh starting at ``now``.
-
-        The bank must be closed; it becomes usable again t_rfc later.
-        """
-        if self.is_open:
-            raise IllegalCommandError(
-                f"bank {self.index}: refresh with row {self.open_row} open"
-            )
-        self.precharge_done = max(self.precharge_done, now + self.timing.t_rfc)

@@ -1,10 +1,10 @@
-"""The assembled SDRAM memory system: ranks + channel + refresh.
+"""The assembled SDRAM memory system: banks, channel counters, refresh.
 
 This is the device-side model the memory controller talks to.  It
-answers earliest-legal-issue queries (combining bank, rank, and
-channel constraints), applies issued commands, and runs the refresh
-engine.  It never chooses *which* command to issue — scheduling policy
-lives in :mod:`repro.controller`.
+answers earliest-legal-issue queries through its
+:class:`~repro.dram.legality.LegalityKernel`, applies issued commands,
+and runs the refresh engine.  It never chooses *which* command to
+issue — scheduling policy lives in :mod:`repro.controller`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import List, Optional
 from .bank import Bank
 from .commands import CommandType
 from .legality import LegalityKernel
-from .rank import Rank
 from .timing import DDR2Timing
 
 
@@ -30,11 +29,21 @@ class DramSystem:
     ):
         if num_ranks <= 0:
             raise ValueError(f"need at least one rank, got {num_ranks}")
-        from .channel import Channel  # local import to avoid cycle in docs
-
+        if num_banks <= 0:
+            raise ValueError(f"need at least one bank per rank, got {num_banks}")
         self.timing = timing
-        self.ranks: List[Rank] = [Rank(r, timing, num_banks) for r in range(num_ranks)]
-        self.channel = Channel(timing)
+        self.num_ranks = num_ranks
+        self.num_banks = num_banks
+        #: Every bank, rank-major: (rank, bank) sits at
+        #: ``rank * num_banks + bank``, the legality kernel's index.
+        self.banks: List[Bank] = [
+            Bank(timing) for _ in range(num_ranks * num_banks)
+        ]
+        #: Channel statistics: data-bus busy cycles and CAS commands.
+        self.data_busy_cycles = 0
+        self.cas_count = 0
+        self.read_count = 0
+        self.write_count = 0
         self.enable_refresh = enable_refresh
         #: Absolute cycle of the next mandatory refresh.  Together with
         #: :attr:`refresh_end` this is part of the event-engine wake
@@ -43,7 +52,7 @@ class DramSystem:
         #: only move inside :meth:`try_start_refresh` — a tick the
         #: controller by construction observes and republishes after.
         self.next_refresh_due = timing.t_refi if enable_refresh else None
-        #: End cycle of an in-progress refresh, or None.
+        #: End cycle of the latest refresh blackout, or None.
         self.refresh_end: Optional[int] = None
         self.refresh_count = 0
         #: Total cycles spent refreshing (for the FQ real clock).
@@ -51,29 +60,18 @@ class DramSystem:
         #: Number of banks with an open row; maintained by :meth:`issue`
         #: so the controller's busy probe is O(1).
         self.open_banks = 0
-        #: Legality kernel: mirrors the bank/rank/channel timing state
-        #: as flat lists and answers every earliest-issue query.
-        #: Valid only while mutations flow through :meth:`issue` and
-        #: :meth:`try_start_refresh` (see its invalidation rules).
-        self.kernel = LegalityKernel(self)
-
-    # -- topology helpers --------------------------------------------------
-
-    @property
-    def num_banks(self) -> int:
-        return len(self.ranks[0])
-
-    @property
-    def num_ranks(self) -> int:
-        return len(self.ranks)
+        #: The only store of DDR2 timing state; valid while every
+        #: command flows through :meth:`issue`.
+        self.kernel = LegalityKernel(timing, num_ranks, num_banks)
 
     def bank(self, rank: int, bank: int) -> Bank:
-        return self.ranks[rank].banks[bank]
+        return self.banks[rank * self.num_banks + bank]
 
-    def iter_banks(self):
-        for rank in self.ranks:
-            for bank in rank.banks:
-                yield rank.index, bank
+    def utilization(self, cycles: int) -> float:
+        """Data-bus utilization over ``cycles`` relative to peak bandwidth."""
+        if cycles <= 0:
+            return 0.0
+        return self.data_busy_cycles / cycles
 
     # -- refresh engine ----------------------------------------------------
 
@@ -100,19 +98,15 @@ class DramSystem:
 
         Returns True if a refresh started.  The controller is expected
         to stop opening rows while :meth:`refresh_due` holds so this
-        eventually succeeds.
+        eventually succeeds.  The blackout itself is one fold in
+        :meth:`earliest_issue`; the kernel never sees refreshes.
         """
         if not self.refresh_due(now):
             return False
-        if not all(rank.all_closed() for rank in self.ranks):
+        if self.open_banks:
             return False
-        if any(
-            now < bank.precharge_done for _, bank in self.iter_banks()
-        ):
+        if any(now < bank.precharge_done for bank in self.banks):
             return False
-        for rank in self.ranks:
-            rank.refresh(now)
-        self.kernel.on_refresh()
         self.refresh_end = now + self.timing.t_rfc
         self.refresh_cycles += self.timing.t_rfc
         self.refresh_count += 1
@@ -124,10 +118,9 @@ class DramSystem:
     def earliest_issue(self, kind: CommandType, rank: int, bank: int) -> Optional[int]:
         """Earliest cycle ``kind`` may issue to (rank, bank), or None.
 
-        Combines bank-state legality with bank, rank, and channel
-        timing via the :class:`~repro.dram.legality.LegalityKernel`
-        mirrors.  Refresh blackouts are handled by the
-        caller via :meth:`in_refresh`, since their start time is not
+        The legality kernel's answer with the refresh blackout folded
+        on top.  A refresh that has not started yet is handled by the
+        caller via :meth:`refresh_due`, since its start time is not
         yet known.
         """
         earliest = self.kernel.earliest_issue(kind, rank, bank)
@@ -136,27 +129,6 @@ class DramSystem:
         refresh_end = self.refresh_end
         if refresh_end is not None and refresh_end > earliest:
             return refresh_end
-        return earliest
-
-    def earliest_issue_reference(
-        self, kind: CommandType, rank: int, bank: int
-    ) -> Optional[int]:
-        """The original object-walking combine; the kernel's oracle.
-
-        Kept for the legality differential tests: walks the live bank,
-        rank, and channel objects per query, so it is correct even when
-        those objects were mutated behind the kernel's back.
-        """
-        bank_earliest = self.ranks[rank].banks[bank].earliest_issue(kind)
-        if bank_earliest is None:
-            return None
-        earliest = max(
-            bank_earliest,
-            self.ranks[rank].earliest_issue(kind, bank),
-            self.channel.earliest_issue(kind),
-        )
-        if self.refresh_end is not None:
-            earliest = max(earliest, self.refresh_end)
         return earliest
 
     def can_issue(self, kind: CommandType, rank: int, bank: int, now: int) -> bool:
@@ -170,9 +142,10 @@ class DramSystem:
     def issue(self, kind: CommandType, rank: int, bank: int, row: int, now: int) -> None:
         """Issue ``kind`` to (rank, bank, row) at cycle ``now``.
 
-        Raises if any bank, rank, or channel constraint is violated —
-        scheduler bugs surface as exceptions rather than silently wrong
-        timing.
+        Raises on a command during a refresh blackout, before the
+        kernel's earliest legal cycle, in a bank state that forbids it,
+        or (for a CAS) to a row other than the open one — scheduler
+        bugs surface as exceptions rather than silently wrong timing.
         """
         if self.in_refresh(now):
             raise RuntimeError(f"command {kind.value} issued during refresh at {now}")
@@ -182,13 +155,31 @@ class DramSystem:
                 f"command {kind.value} to rank {rank} bank {bank} at {now} "
                 f"violates timing (earliest legal {earliest})"
             )
-        self.ranks[rank].issue(kind, bank, row, now)
-        self.channel.issue(kind, now)
-        if kind is CommandType.ACTIVATE:
+        b = self.banks[rank * self.num_banks + bank]
+        if kind.is_cas:
+            if b.open_row != row:
+                raise RuntimeError(
+                    f"{kind.value} to rank {rank} bank {bank} row {row} "
+                    f"but open row is {b.open_row}"
+                )
+            self.data_busy_cycles += self.timing.burst
+            self.cas_count += 1
+            if kind is CommandType.READ:
+                self.read_count += 1
+            else:
+                self.write_count += 1
+        elif kind is CommandType.ACTIVATE:
+            b.open_row = row
+            b.last_activate = now
+            b.activate_count += 1
             self.open_banks += 1
         elif kind is CommandType.PRECHARGE:
+            b.open_row = None
+            b.precharge_done = now + self.timing.t_rp
+            b.busy_cycles += b.precharge_done - b.last_activate
+            b.precharge_count += 1
             self.open_banks -= 1
-        self.kernel.on_issue(kind, rank, bank)
+        self.kernel.on_issue(kind, rank, bank, now)
 
     # -- completion timing ---------------------------------------------------
 

@@ -1,50 +1,50 @@
-"""Command-legality kernel: earliest-legal-issue from flat mirrors.
+"""Command-legality kernel: the one home of the DDR2 timing algebra.
 
-The original legality path answered "when may command X issue to
-(rank, bank)?" by walking three objects per query — bank, rank,
-channel — recombining the same timing terms every time.  This kernel
-keeps the *combined-component* form of that computation as flat
-per-bank lists plus a handful of rank/channel scalars, updated
-incrementally on each issued command (an issue changes one bank's
-components, at most one rank's scalars, and the channel scalars).  A
-query is then a couple of list indexes and ``max`` folds, and
-:meth:`~LegalityKernel.earliest_by_mask` answers "earliest issue of
-any command kind this bank needs" in one call.
+Every timing rule of the device model — the paper's Table 6 plus the
+tFAW window — is stored and computed here and nowhere else in
+:mod:`repro.dram`.  The kernel keeps the earliest cycle each command
+kind is legal as flat per-bank lists plus a handful of rank and
+channel scalars, and :meth:`~LegalityKernel.on_issue` moves them from
+the issued command itself: an issue changes one bank's components, at
+most one rank's scalars, and the channel scalars.  A query is then a
+couple of list indexes and ``max`` folds, and
+:meth:`~LegalityKernel.earliest_by_mask` answers "earliest issue of any
+command kind this bank needs" in one call.
 
 Components per flat bank index ``i = rank * num_banks + bank``
 (``None`` = the bank's state forbids the command):
 
-* ``act[i]``  = max(precharge_done, last_activate + tRC)        (closed)
-* ``pre[i]``  = max(act+tRAS, read+tRTP, write_end+tWR)         (open)
-* ``cas[i]``  = last_activate + tRCD                            (open)
+* ``act[i]`` = max(PRE + tRP, ACT + tRC)                  (closed)
+* ``pre[i]`` = max(ACT + tRAS, RD + tRTP, WR data end + tWR)  (open)
+* ``cas[i]`` = ACT + tRCD                                 (open)
 
-Rank scalars: ``rank_act`` (tRRD and the rolling four-activate tFAW
-window), ``rank_read`` (write-to-read turnaround, tWTR).  Channel
-scalars: ``cmd`` (one command per cycle), ``chan_read``/``chan_write``
-(tCCD and data-bus occupancy, offset by CL/WL).  The full earliest is
-the max of the bank component, the matching rank/channel scalars, and
-— folded by :class:`~repro.dram.dram_system.DramSystem` — any refresh
-blackout.
+``rc[i]`` holds the bank's last ACT + tRC, the floor ``act[i]`` takes
+when the row closes.  Rank scalars: ``rank_act`` = max(last ACT + tRRD,
+oldest of the last four ACTs + tFAW) and ``rank_read`` = write data end
++ tWTR.
+Channel scalars: ``cmd`` = last command + 1 (one command per cycle) and
+``chan_read``/``chan_write`` = max(cmd, last CAS + tCCD, data bus free
+− CL/WL).  The full earliest is the max of the bank component and the
+matching rank and channel scalars;
+:class:`~repro.dram.dram_system.DramSystem` folds the refresh blackout
+on top.  Under the Table 6 defaults two terms never bind: tRC = 220 is
+below tRAS + tRP = 230, and tCCD = 20 is below the 40-cycle burst that
+the data-bus term enforces.
 
-**Invalidation rules**: the mirrors are valid only while every state
-mutation flows through :meth:`on_issue` / :meth:`on_refresh`, which
-:class:`~repro.dram.dram_system.DramSystem` guarantees for commands
-issued via ``DramSystem.issue`` and refreshes via
-``try_start_refresh``.  Code that pokes ``Bank``/``Rank``/``Channel``
-objects directly (some unit tests do) must call :meth:`sync_all`
-before querying the kernel.  ``DramSystem.earliest_issue_reference``
-retains the original object-walking combine as the oracle the
-differential tests pin this kernel against.
+The state is valid only while every command flows through
+``DramSystem.issue``.  Its oracle is the independent protocol
+sanitizer, :meth:`repro.check.protocol.DramProtocolSanitizer.check`:
+``tests/dram/test_legality_differential.py`` asserts that the kernel's
+earliest cycle is the first one the sanitizer accepts, over random
+timings and command streams and over real checked runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from .commands import CommandType
-
-if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
-    from .dram_system import DramSystem
+from .timing import DDR2Timing
 
 #: Kind-selection bits for :meth:`LegalityKernel.earliest_by_mask`.
 MASK_ACT = 1
@@ -52,119 +52,92 @@ MASK_PRE = 2
 MASK_READ = 4
 MASK_WRITE = 8
 
+#: "Never happened": far enough in the past that the tFAW window
+#: cannot bind before four activates have been recorded.
+_NEVER = -(10**9)
+
 
 class LegalityKernel:
-    """Incremental earliest-legal-issue state for one memory channel."""
+    """Earliest-legal-issue state for one memory channel."""
 
-    def __init__(self, dram: "DramSystem"):
-        self.dram = dram
-        self.num_banks = dram.num_banks
-        self.num_ranks = dram.num_ranks
-        n = self.num_banks * self.num_ranks
-        self.num_flat_banks = n
+    def __init__(self, timing: DDR2Timing, num_ranks: int, num_banks: int):
+        self.timing = timing
+        self.num_banks = num_banks
+        n = num_ranks * num_banks
         self._act: List[Optional[int]] = [0] * n
         self._pre: List[Optional[int]] = [None] * n
         self._cas: List[Optional[int]] = [None] * n
-        self._rank_act: List[int] = [0] * self.num_ranks
-        self._rank_read: List[int] = [0] * self.num_ranks
+        self._rc: List[int] = [0] * n
+        self._rank_act: List[int] = [0] * num_ranks
+        self._rank_read: List[int] = [0] * num_ranks
+        #: Per rank, the issue cycles of the last four activates,
+        #: oldest first.
+        self._faw: List[List[int]] = [[_NEVER] * 4 for _ in range(num_ranks)]
         self._cmd = 0
         self._chan_read = 0
         self._chan_write = 0
-        #: Optional repro.obs KernelCounters; None in normal runs, so
-        #: every instrumented site pays one attribute test.
-        self.counters = None
-        self.sync_all()
 
-    # -- mirror maintenance -------------------------------------------------
-
-    def _sync_bank(self, rank: int, bank: int) -> None:
+    def on_issue(self, kind: CommandType, rank: int, bank: int, now: int) -> None:
+        """Apply the timing consequences of ``kind`` issuing at ``now``."""
+        t = self.timing
         i = rank * self.num_banks + bank
-        b = self.dram.ranks[rank].banks[bank]
-        t = b.timing
-        if b.open_row is None:
-            act = b.precharge_done
-            alt = b.last_activate + t.t_rc
-            self._act[i] = alt if alt > act else act
-            self._pre[i] = None
-            self._cas[i] = None
-        else:
-            self._act[i] = None
-            pre = b.last_activate + t.t_ras
-            alt = b.last_read + t.t_rtp
-            if alt > pre:
-                pre = alt
-            alt = b.write_data_end + t.t_wr
-            if alt > pre:
+        cmd = now + 1
+        if kind.is_cas:
+            if kind is CommandType.READ:
+                free = now + t.t_cl + t.burst
+                pre = now + t.t_rtp
+            else:
+                free = now + t.t_wl + t.burst
+                pre = free + t.t_wr
+                self._rank_read[rank] = free + t.t_wtr
+            alt = self._pre[i]
+            if alt is not None and alt > pre:
                 pre = alt
             self._pre[i] = pre
-            self._cas[i] = b.last_activate + t.t_rcd
-
-    def _sync_rank(self, rank: int) -> None:
-        r = self.dram.ranks[rank]
-        t = r.timing
-        act = r.last_activate + t.t_rrd
-        if len(r.activate_times) == 4:
-            alt = r.activate_times[0] + t.t_faw
-            if alt > act:
-                act = alt
-        self._rank_act[rank] = act
-        self._rank_read[rank] = r.write_data_end + t.t_wtr
-
-    def _sync_channel(self) -> None:
-        ch = self.dram.channel
-        t = ch.timing
-        cmd = ch.last_command + 1
+            ccd = now + t.t_ccd
+            if cmd > ccd:
+                ccd = cmd
+            alt = free - t.t_cl
+            self._chan_read = alt if alt > ccd else ccd
+            alt = free - t.t_wl
+            self._chan_write = alt if alt > ccd else ccd
+        else:
+            if kind is CommandType.ACTIVATE:
+                self._act[i] = None
+                self._pre[i] = now + t.t_ras
+                self._cas[i] = now + t.t_rcd
+                self._rc[i] = now + t.t_rc
+                window = self._faw[rank]
+                del window[0]
+                window.append(now)
+                act = now + t.t_rrd
+                alt = window[0] + t.t_faw
+                self._rank_act[rank] = alt if alt > act else act
+            elif kind is CommandType.PRECHARGE:
+                act = now + t.t_rp
+                alt = self._rc[i]
+                self._act[i] = alt if alt > act else act
+                self._pre[i] = None
+                self._cas[i] = None
+            else:
+                raise ValueError(f"legality kernel cannot issue {kind.value}")
+            # A RAS command moves only the command bus.
+            if cmd > self._chan_read:
+                self._chan_read = cmd
+            if cmd > self._chan_write:
+                self._chan_write = cmd
         self._cmd = cmd
-        cas = ch.last_cas + t.t_ccd
-        if cas < cmd:
-            cas = cmd
-        read = ch.data_bus_free - t.t_cl
-        self._chan_read = read if read > cas else cas
-        write = ch.data_bus_free - t.t_wl
-        self._chan_write = write if write > cas else cas
 
-    def sync_all(self) -> None:
-        """Rebuild every mirror from the live DRAM objects."""
-        for rank in range(self.num_ranks):
-            self._sync_rank(rank)
-            for bank in range(self.num_banks):
-                self._sync_bank(rank, bank)
-        self._sync_channel()
-        if self.counters is not None:
-            self.counters.syncs += 1
-
-    def on_issue(self, kind: CommandType, rank: int, bank: int) -> None:
-        """Refresh the mirrors touched by ``kind`` issuing to (rank, bank).
-
-        One bank's components always change; rank scalars change only
-        for activates (tRRD/tFAW window) and writes (tWTR turnaround);
-        the channel scalars change on every command.
-        """
-        self._sync_bank(rank, bank)
-        if kind is CommandType.ACTIVATE or kind is CommandType.WRITE:
-            self._sync_rank(rank)
-        self._sync_channel()
-
-    def on_refresh(self) -> None:
-        """An all-bank refresh moved every bank's ``precharge_done``."""
-        for rank in range(self.num_ranks):
-            for bank in range(self.num_banks):
-                self._sync_bank(rank, bank)
-
-    # -- scalar queries ------------------------------------------------------
+    # -- queries -------------------------------------------------------------
 
     def earliest_issue(
         self, kind: CommandType, rank: int, bank: int
     ) -> Optional[int]:
         """Earliest cycle ``kind`` may issue to (rank, bank), sans refresh.
 
-        ``None`` when bank state forbids the command.  Identical to the
-        object-walking ``DramSystem.earliest_issue_reference`` modulo
-        the refresh fold, which the DRAM system applies on top.
+        ``None`` when bank state forbids the command.  The DRAM system
+        folds any refresh blackout on top.
         """
-        counters = self.counters
-        if counters is not None:
-            counters.queries += 1
         i = rank * self.num_banks + bank
         if kind.is_cas:
             t = self._cas[i]

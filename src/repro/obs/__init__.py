@@ -1,9 +1,8 @@
 """Engine observability: metrics registry, manifests, fleet streaming.
 
 ``repro.obs`` watches the *simulator itself* the way ``repro.telemetry``
-watches the simulated requests: wake-index churn, legality-kernel
-traffic, policy-key memo effectiveness, event-loop phase times, and
-``run_many`` fleet state.  Like the checker and telemetry layers it is
+watches the simulated requests: wake-index churn, policy-key memo
+effectiveness, event-loop phase times, and ``run_many`` fleet state.  Like the checker and telemetry layers it is
 a pure observer — attaching it never changes a single result bit (the
 differential tests in ``tests/obs/`` pin obs-on against obs-off across
 both engines and every headline policy) — and its disabled cost is a
@@ -12,7 +11,7 @@ handful of ``x is None`` guards.
 Layout:
 
 * :mod:`repro.obs.registry` — the metrics registry plus the
-  ``__slots__`` counter structs hot loops bump behind guards.
+  ``__slots__`` counter struct hot loops bump behind guards.
 * :mod:`repro.obs.phases` — the event-loop phase timer; the single
   module in the tree allowed to read the wall clock (DET008).
 * :mod:`repro.obs.engine` — harvests engine counters into canonical
@@ -36,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .. import env
-from .registry import KernelCounters, KeyCacheCounters, MetricsRegistry
+from .registry import KeyCacheCounters, MetricsRegistry
 from .phases import ENGINE_PHASES, PhaseTimer
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
@@ -69,7 +68,7 @@ def manifest_dir() -> Optional[str]:
 
 
 class RunObs:
-    """One run's observability state: registry + hot counter structs.
+    """One run's observability state: registry + hot counter struct.
 
     Mirrors :class:`repro.telemetry.RunTelemetry`'s attach pattern: the
     system constructs one instance and fans references out to every
@@ -80,7 +79,6 @@ class RunObs:
 
     def __init__(self, phase_timing: bool = False):
         self.registry = MetricsRegistry()
-        self.legality = KernelCounters()
         self.keys = KeyCacheCounters()
         self.phases: Optional[PhaseTimer] = (
             PhaseTimer() if phase_timing else None
@@ -92,16 +90,13 @@ class RunObs:
     def attach(self, system: "CmpSystem") -> None:
         """Wire this instance into ``system``'s hot components.
 
-        Kernel counters go on every channel's legality kernel; key
-        counters on every bank scheduler.  Memoizing schedulers get a
+        Key counters go on every bank scheduler.  Memoizing schedulers get a
         counting ``_request_key``; non-memoizing ones get a counting
         ``_key_of`` (their keys are rebuilt every pass, so the split is
         ``uncached`` rather than hit/miss).  All rebinding happens here,
         at attach time — a run without obs keeps the original bound
         methods and pays nothing.
         """
-        for dram in system.drams:
-            dram.kernel.counters = self.legality
         for controller in system.controllers:
             for scheduler in controller.bank_schedulers:
                 self._attach_scheduler(scheduler)
@@ -150,7 +145,6 @@ class RunObs:
 
 __all__ = [
     "ENGINE_PHASES",
-    "KernelCounters",
     "KeyCacheCounters",
     "MetricsRegistry",
     "OBS_ENV_VAR",

@@ -10,7 +10,7 @@ bench scripts:
   frozen here and stripped by ``comparable_result`` via the shared
   :data:`ENGINE_EXTRA_PREFIX`.
 * :func:`harvest` translates the same counters — plus the obs-only
-  ones (legality kernel, policy-key memo, phase timer) — into the
+  ones (policy-key memo, phase timer) — into the
   canonical dotted registry names that manifests and ``repro-fqms
   perf`` speak.  :data:`EXTRA_ALIASES` records the mapping from
   canonical name to legacy extras key so the two vocabularies can
@@ -110,9 +110,6 @@ def harvest(system: "CmpSystem", obs: "RunObs") -> None:
             "engine.sparse_tick_fraction",
             system.engine_component_ticks / possible if possible else 0.0,
         )
-    kernel = obs.legality
-    registry.gauge("legality.queries", kernel.queries)
-    registry.gauge("legality.syncs", kernel.syncs)
     keys = obs.keys
     registry.gauge("policy_keys.hits", keys.hits)
     registry.gauge("policy_keys.misses", keys.misses)

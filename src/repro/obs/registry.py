@@ -3,9 +3,9 @@
 The registry is the *cold* half of the observability layer: a flat
 ``dotted.name -> float`` table, filled in at finalize time and
 serialized into run manifests.  The
-*hot* half is a handful of ``__slots__`` counter structs
-(:class:`KernelCounters`, :class:`KeyCacheCounters`) that hot loops
-bump through plain attribute adds behind ``x is None`` guards — the
+*hot* half is the ``__slots__`` counter struct
+(:class:`KeyCacheCounters`) that hot loops bump through plain
+attribute adds behind ``x is None`` guards — the
 same shape as the checker/telemetry hooks — and that
 :meth:`~repro.obs.RunObs.finalize` harvests into the registry once per
 run.  Nothing on a hot path ever touches a dict lookup or a string.
@@ -62,22 +62,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-
-class KernelCounters:
-    """Hot counters for one legality kernel (attached when obs is on).
-
-    ``queries`` counts ``earliest_issue`` calls and ``syncs`` full
-    mirror rebuilds (``sync_all``).  Both are bumped behind
-    ``counters is not None`` guards, so a disabled run pays one
-    attribute test per query and nothing else.
-    """
-
-    __slots__ = ("queries", "syncs")
-
-    def __init__(self) -> None:
-        self.queries = 0
-        self.syncs = 0
 
 
 class KeyCacheCounters:

@@ -913,13 +913,11 @@ class CmpSystem:
     def _snapshot(self) -> Dict[str, float]:
         snap: Dict[str, float] = {
             "cycle": self.now,
-            "data_busy": sum(
-                dram.channel.data_busy_cycles for dram in self.drams
-            ),
+            "data_busy": sum(dram.data_busy_cycles for dram in self.drams),
             "bank_busy": sum(
                 bank.busy_cycles_at(self.now)
                 for dram in self.drams
-                for _, bank in dram.iter_banks()
+                for bank in dram.banks
             ),
             "refreshes": sum(dram.refresh_count for dram in self.drams),
         }

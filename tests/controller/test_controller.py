@@ -83,8 +83,7 @@ class TestClosedPagePolicy:
         # Keep ticking past t_ras so the auto-precharge can issue.
         for extra in range(timing.t_ras + timing.t_rp + 10):
             controller.tick(now + extra)
-        _, bank = list(dram.iter_banks())[3]
-        assert not bank.is_open
+        assert dram.bank(0, 3).open_row is None
 
     def test_row_stays_open_for_pending_hits(self, timing):
         controller, dram, amap = make_controller()
@@ -94,8 +93,7 @@ class TestClosedPagePolicy:
         controller.try_enqueue(second)
         run_until_done(controller, [first, second])
         # Second access is a row hit: exactly one activate total.
-        _, bank = list(dram.iter_banks())[3]
-        assert bank.activate_count == 1
+        assert dram.bank(0, 3).activate_count == 1
 
 
 class TestFrFcfsOrdering:

@@ -1,24 +1,33 @@
 """Property-based fuzzing of the controller against the DRAM model.
 
-The DRAM model raises on any timing violation, so driving the
-controller with arbitrary request streams is a strong end-to-end
-check: every command sequence any policy emits must satisfy every
-bank, rank, and channel constraint, and every accepted request must
-eventually complete (no starvation, no lost requests).
+Arbitrary request streams drive the controller with a
+:class:`~repro.check.RunChecker` attached, so the independent protocol
+sanitizer sees every command and every refresh: every command sequence
+any policy emits must satisfy every bank, rank, and channel constraint,
+refresh included, and every accepted request must eventually complete
+(no starvation, no lost requests).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.check import RunChecker
 from repro.controller.address_map import AddressMap
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.policies import get_policy
+from repro.dram.commands import CommandType
 from repro.dram.dram_system import DramSystem
 from repro.dram.timing import DDR2Timing
 
 AMAP = AddressMap()
+
+#: Just above tRFC (510), so most streams run into a refresh.
+T_REFI = 600
+
+#: Arrivals every 30 cycles across every bank, past ``T_REFI``.
+CROSSING_STREAM = [(i % 2, i % 8, i % 4, i, i % 3 == 0, 30) for i in range(24)]
 
 request_strategy = st.tuples(
     st.integers(0, 1),                      # thread
@@ -32,13 +41,17 @@ request_strategy = st.tuples(
 
 @pytest.mark.parametrize("policy", ["FR-FCFS", "FR-VFTF", "FQ-VFTF"])
 @given(stream=st.lists(request_strategy, min_size=1, max_size=40))
+@example(stream=CROSSING_STREAM)
 @settings(max_examples=25, deadline=None)
 def test_no_timing_violations_and_all_complete(policy, stream):
-    timing = DDR2Timing(t_refi=20_000)  # frequent refresh for coverage
+    timing = DDR2Timing(t_refi=T_REFI)
     dram = DramSystem(timing, enable_refresh=True)
     controller = MemoryController(
         dram, AMAP, num_threads=2, policy=get_policy(policy)
     )
+    checker = RunChecker(controller)
+    controller.checker = checker
+    controller.enable_command_log()
     accepted = []
     now = 0
     pending = list(stream)
@@ -58,13 +71,23 @@ def test_no_timing_violations_and_all_complete(policy, stream):
         if pending:
             head = pending[0]
             pending[0] = head[:5] + (head[5] - 1,)
-        controller.tick(now)  # raises on any timing violation
+        controller.tick(now)  # raises on any protocol violation
         now += 1
         assert now < 500_000, "requests starved"
     # Liveness: every accepted request finished and freed its buffer.
     for extra in range(5):
         controller.tick(now + extra)
     assert controller.buffers.total_occupancy() == 0
+    checker.finalize(now + 5)
+    assert checker.protocol.commands_checked == len(controller.command_log)
+    assert checker.protocol.refreshes_checked == dram.refresh_count
+    # No row opens once a refresh is due until one has started, so a
+    # stream that activated past the first deadline must have refreshed.
+    if any(
+        c.kind is CommandType.ACTIVATE and c.cycle >= T_REFI
+        for c in controller.command_log
+    ):
+        assert dram.refresh_count >= 1
 
 
 @given(

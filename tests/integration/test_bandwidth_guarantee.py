@@ -89,6 +89,6 @@ class TestFqBandwidthGuarantee:
     def test_throughput_not_sacrificed(self):
         _, fr = run_backlogged("FR-FCFS", [0.5, 0.5])
         _, fq = run_backlogged("FQ-VFTF", [0.5, 0.5])
-        fr_total = fr.dram.channel.cas_count
-        fq_total = fq.dram.channel.cas_count
+        fr_total = fr.dram.cas_count
+        fq_total = fq.dram.cas_count
         assert fq_total > 0.8 * fr_total

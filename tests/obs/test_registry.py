@@ -1,6 +1,6 @@
 """The metrics registry and the hot counter structs."""
 
-from repro.obs import KernelCounters, KeyCacheCounters, MetricsRegistry, RunObs
+from repro.obs import KeyCacheCounters, MetricsRegistry, RunObs
 
 
 class TestMetricsRegistry:
@@ -36,10 +36,6 @@ class TestMetricsRegistry:
 
 
 class TestCounterStructs:
-    def test_kernel_counters_start_at_zero(self):
-        c = KernelCounters()
-        assert (c.queries, c.syncs) == (0, 0)
-
     def test_key_cache_hit_ratio(self):
         c = KeyCacheCounters()
         assert c.hit_ratio == 0.0  # no traffic: defined, not a ZeroDivisionError
@@ -52,7 +48,7 @@ class TestCounterStructs:
         import pytest
 
         with pytest.raises(AttributeError):
-            KernelCounters().querys = 1
+            KeyCacheCounters().hit = 1
 
 
 class TestRunObs:

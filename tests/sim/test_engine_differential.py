@@ -8,7 +8,9 @@ event engine must produce a ``SimResult`` identical bit for bit to the
 same run stepped cycle by cycle — with the runtime checkers attached,
 so the skipping engine also satisfies the DRAM protocol sanitizer and
 scheduler invariant checker.  Multi-channel systems, where the wake
-index shards one heap per channel, get the same differential.
+index shards one heap per channel, get the same differential, and so
+do runs whose shortened refresh interval puts refreshes under the
+checkers.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import dataclasses
 import pytest
 
 from repro.check.harness import DEFAULT_POLICIES, QUAD_WORKLOAD, run_engine_pair
+from repro.dram.timing import DDR2Timing
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem, comparable_result
 from repro.workloads.spec2000 import profile
@@ -77,6 +80,26 @@ class TestMultiChannel:
             results[engine] = _as_dict(system.run(6_000, warmup=1_500))
         assert results["event"] == results["cycle"]
         assert len(system._windex._heaps) == num_channels + 1
+
+
+class TestCheckedRefresh:
+    #: The default tREFI (280,000 cycles) outlasts every other checked
+    #: run, so none of them puts a refresh in front of the checkers.
+    TIMING = DDR2Timing(t_refi=3_000)
+
+    @pytest.mark.parametrize("policy", DEFAULT_POLICIES)
+    def test_refreshing_event_run_matches_cycle_oracle(self, policy):
+        """Ten refreshes per run, each seen by the protocol sanitizer."""
+        profiles = [profile(name) for name in PAIR]
+        results = {}
+        for engine in ("cycle", "event"):
+            config = SystemConfig(
+                policy=policy, num_cores=len(PAIR), engine=engine, timing=self.TIMING
+            )
+            system = CmpSystem(config, profiles, check=True)
+            results[engine] = _as_dict(system.run(CYCLES, warmup=5_000))
+            assert system.check_summary()["refreshes_checked"] >= 9
+        assert results["event"] == results["cycle"]
 
 
 class TestFastForwardFlag:

@@ -54,14 +54,14 @@ class TestMultiChannelSystem:
         system = CmpSystem(config, [HEAVY])
         system.run(8000, warmup=0)
         for dram in system.drams:
-            assert dram.channel.cas_count > 0
+            assert dram.cas_count > 0
 
     def test_throughput_scales_with_channels(self):
         def total_cas(nch):
             config = SystemConfig(num_cores=2, num_channels=nch, seed=3)
             system = CmpSystem(config, [HEAVY, profile("art")])
             system.run(15_000, warmup=4_000)
-            return sum(d.channel.cas_count for d in system.drams)
+            return sum(d.cas_count for d in system.drams)
 
         one, two = total_cas(1), total_cas(2)
         assert two > 1.4 * one

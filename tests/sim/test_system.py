@@ -79,8 +79,8 @@ class TestConservation:
     def test_bus_busy_matches_cas_count(self):
         system = build([HEAVY, LIGHT], seed=1)
         system.run(8000, warmup=0)
-        channel = system.dram.channel
-        assert channel.data_busy_cycles == channel.cas_count * system.config.timing.burst
+        dram = system.dram
+        assert dram.data_busy_cycles == dram.cas_count * system.config.timing.burst
 
     def test_thread_utilizations_sum_to_aggregate(self):
         system = build([HEAVY, LIGHT], seed=1)
