@@ -15,9 +15,10 @@ Checks are opt-in: pass ``--check`` on the CLI or set ``REPRO_CHECK=1``
 in the environment.  The environment variable is the propagation
 mechanism — worker processes of the parallel experiment engine inherit
 it, so checked runs stay checked across a process pool.  When enabled,
-a :class:`RunChecker` attaches to each memory controller; when a check
-fails the run dies immediately with a :class:`CheckError` subclass
-carrying the offending event.
+:class:`~repro.sim.system.CmpSystem` attaches one :class:`RunChecker`
+per channel through its one observer attach point
+(:mod:`repro.observer`); when a check fails the run dies immediately
+with a :class:`CheckError` subclass carrying the offending event.
 
 Checked and unchecked runs must be bit-identical: the checkers only
 observe, never steer, and ``REPRO_CHECK`` is deliberately *not* part of
@@ -30,11 +31,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from .. import env
+from ..observer import Observer
 from .invariants import InvariantViolation, SchedulerInvariantChecker
 from .protocol import CheckError, DramProtocolSanitizer, ProtocolViolation
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..controller.bank_scheduler import CandidateCommand
+    from ..controller.bank_scheduler import BankScheduler, CandidateCommand
     from ..controller.controller import MemoryController
     from ..controller.request import MemoryRequest
 
@@ -61,12 +63,12 @@ def checks_enabled() -> bool:
     return env.flag(CHECK_ENV_VAR)
 
 
-class RunChecker:
+class RunChecker(Observer):
     """Protocol sanitizer + invariant checker for one memory controller.
 
-    The controller calls the four observation hooks from its own event
-    sites; each hook fans out to both layers.  All hooks raise a
-    :class:`CheckError` subclass on the first violation.
+    Subscribed to its controller's accept, command, refresh and
+    complete events; each hook fans out to both layers.  All hooks
+    raise a :class:`CheckError` subclass on the first violation.
     """
 
     def __init__(self, controller: "MemoryController"):
@@ -81,7 +83,9 @@ class RunChecker:
     def on_accept(self, request: "MemoryRequest", now: int) -> None:
         self.invariants.on_accept(request, now)
 
-    def on_command(self, cand: "CandidateCommand", now: int) -> None:
+    def on_command(
+        self, scheduler: "BankScheduler", cand: "CandidateCommand", now: int
+    ) -> None:
         self.protocol.on_command(cand.kind, cand.rank, cand.bank, cand.row, now)
         self.invariants.on_command(cand, now)
 

@@ -54,6 +54,7 @@ from .experiments.ablations import (
 from .policy import canonical, registered_names
 from .sim.cache import configure_cache
 from .sim.runner import DEFAULT_CYCLES
+from .telemetry.sampler import DEFAULT_SAMPLE_PERIOD
 
 FIGURES = ("figure1", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9")
 
@@ -283,21 +284,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "oracle); equivalent to REPRO_ENGINE",
     )
     parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="attach the repro.telemetry observers (request-lifecycle "
-        "tracer + interval sampler) to every freshly simulated run; "
-        "equivalent to REPRO_TRACE=1 (results are unchanged; batch "
-        "runs served from the result cache are not re-traced)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="attach the repro.obs engine-internals metrics registry to "
-        "every freshly simulated run; equivalent to REPRO_OBS=1 "
-        "(results are unchanged; see also REPRO_OBS_MANIFEST)",
-    )
-    parser.add_argument(
         "--workload",
         default="vpr,art",
         help="comma-separated benchmark names for 'trace'/'report' "
@@ -318,9 +304,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--period",
         type=int,
-        default=None,
+        default=DEFAULT_SAMPLE_PERIOD,
         help="interval-sampler period in cycles for 'trace'/'report' "
-        "(default 1000; REPRO_TRACE_PERIOD also honoured)",
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--out",
@@ -359,13 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # their configs from REPRO_ENGINE.  The fingerprint includes the
         # engine, so cached results never cross engines.
         os.environ["REPRO_ENGINE"] = args.engine
-    if args.trace:
-        # Same environment plumbing again; tracing never changes
-        # results, so it is deliberately NOT in cache fingerprints.
-        os.environ["REPRO_TRACE"] = "1"
-    if args.obs:
-        # And once more for the engine-internals metrics registry.
-        os.environ["REPRO_OBS"] = "1"
     configure_cache(cache_dir=args.cache_dir, enabled=not args.no_cache)
     store = None
     if args.store:

@@ -134,15 +134,6 @@ class BankScheduler:
         #: False, write requests are held back so reads proceed without
         #: bus-turnaround penalties.
         self.writes_eligible = True
-        #: Optional run telemetry (repro.telemetry); None in normal
-        #: runs, so the issue hook costs one attribute test.
-        self.telemetry = None
-        #: Optional policy-key memo counters (repro.obs); None in
-        #: normal runs.  RunObs.attach also rebinds ``_request_key`` /
-        #: ``_key_of`` to counting closures, so only the loop in
-        #: :meth:`candidate`, which inlines the memo, consults this
-        #: attribute directly.
-        self.obs_keys = None
         self.queue: List[MemoryRequest] = []
         #: Queue-shape counters over the FULL queue (ignoring the
         #: write-drain gate): request counts by kind and how many of
@@ -172,8 +163,7 @@ class BankScheduler:
         self._scan_global = -1
         self._scan_row = -1
         self._scan_queue = -1
-        #: The policy's key function; RunObs.attach may rebind it to a
-        #: counting wrapper.
+        #: The policy's key function.
         self._key_of = policy.request_key
         if not policy.memoize_keys:
             self._request_key = self._key_of  # type: ignore[method-assign]
@@ -443,7 +433,6 @@ class BankScheduler:
         can_issue = self.dram.can_issue
         key_of = self._key_of
         memoize = policy.memoize_keys
-        obs_keys = self.obs_keys
         ras = 0 if policy.key_over_cas else 1
         read, write = CommandType.READ, CommandType.WRITE
         precharge = CommandType.PRECHARGE
@@ -479,10 +468,6 @@ class BankScheduler:
                 if key is None:
                     key = key_of(request)
                     request.key_cache = key
-                    if obs_keys is not None:
-                        obs_keys.misses += 1
-                elif obs_keys is not None:
-                    obs_keys.hits += 1
             else:
                 key = key_of(request)
             if level < best_level or (level == best_level and key < best_key):
@@ -670,10 +655,6 @@ class BankScheduler:
 
     def on_issue(self, cand: CandidateCommand, now: int) -> None:
         """Update bookkeeping after the channel scheduler issues ``cand``."""
-        if self.telemetry is not None:
-            # Before any mutation, so the inversion probe sees the
-            # queue exactly as the selection that chose ``cand`` did.
-            self.telemetry.on_bank_issue(self, cand, now)
         if cand.kind is CommandType.ACTIVATE and cand.request is not None:
             self.open_row_thread = cand.request.thread_id
             self.open_row_arrival = cand.request.virtual_arrival

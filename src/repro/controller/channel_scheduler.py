@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional
 
+from ..observer import Observer
 from .bank_scheduler import BankScheduler, CandidateCommand, IDLE_BOUND
 
 
@@ -47,9 +48,10 @@ class ChannelScheduler:
             if self.bank_schedulers
             else True
         )
-        #: Optional run telemetry (repro.telemetry); None in normal
-        #: runs, so arbitration accounting costs one attribute test.
-        self.telemetry = None
+        #: The owning controller's observer (repro.observer), set with
+        #: it by ``CmpSystem.attach``; None in plain runs, so
+        #: arbitration accounting costs one attribute test.
+        self.observer: Optional[Observer] = None
 
     def invalidate(self, rank: int, bank: int) -> None:
         """Drop the cached bound for one bank (its state changed)."""
@@ -69,7 +71,7 @@ class ChannelScheduler:
         best_level = 2
         best_key: Any = None
         bounds = self._bounds
-        telemetry = self.telemetry
+        observer = self.observer
         cas_first = self._cas_first
         ready_seen = 0
         for i, scheduler in enumerate(self.bank_schedulers):
@@ -86,7 +88,7 @@ class ChannelScheduler:
             if cand is None or not cand.ready:
                 bounds[i] = scheduler.cacheable_wake(now)
                 continue
-            if telemetry is not None:
+            if observer is not None:
                 # Exact ready count: skipped banks can only have held
                 # non-ready candidates (see the skip-soundness note in
                 # the module docstring).
@@ -96,8 +98,8 @@ class ChannelScheduler:
             level = 1 if cas_first and not cand.kind.is_cas else 0
             if level < best_level or (level == best_level and cand.key < best_key):
                 best, best_level, best_key = cand, level, cand.key
-        if telemetry is not None and best is not None:
-            telemetry.on_arbitration(now, ready_seen)
+        if observer is not None and best is not None:
+            observer.on_arbitration(now, ready_seen)
         return best
 
     def min_wake(self, now: int) -> Optional[int]:

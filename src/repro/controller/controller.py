@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque, namedtuple
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
-    from ..check import RunChecker
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.policies import FR_FCFS
 from ..core.shares import equal_shares, validate_shares
@@ -23,6 +20,7 @@ from ..policy.base import SchedulingPolicy
 from ..core.vtms import VtmsState
 from ..dram.commands import CommandType
 from ..dram.dram_system import DramSystem
+from ..observer import Observer
 from .address_map import AddressMap
 from .bank_scheduler import BankScheduler, CandidateCommand
 from .buffers import PartitionedBuffers
@@ -86,12 +84,33 @@ class ControllerStats:
         return self.LATENCY_BUCKETS[-1] * 2
 
 
-#: One entry of the optional command log: what issued, where, when,
-#: and on behalf of which thread (None for auto-precharges of unowned
-#: rows).
+#: One entry of a :class:`CommandLog`: what issued, where, when, and on
+#: behalf of which thread (None for auto-precharges of unowned rows).
 LoggedCommand = namedtuple(
     "LoggedCommand", ["cycle", "kind", "rank", "bank", "row", "thread"]
 )
+
+
+class CommandLog(Observer):
+    """Bounded record of a controller's issued commands (debug/analysis).
+
+    Subscribe it as the controller's ``observer`` (or through
+    :meth:`~repro.sim.system.CmpSystem.attach`); ``entries`` holds the
+    retained :class:`LoggedCommand` records, oldest first.
+    """
+
+    def __init__(self, capacity: int = 10_000):
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.entries: Deque[LoggedCommand] = deque(maxlen=capacity)
+
+    def on_command(
+        self, scheduler: BankScheduler, cand: CandidateCommand, now: int
+    ) -> None:
+        self.entries.append(
+            LoggedCommand(now, cand.kind, cand.rank, cand.bank, cand.row,
+                          cand.charge_thread)
+        )
 
 
 class MemoryController:
@@ -150,8 +169,6 @@ class MemoryController:
         #: Scheduling sleep: no command can become ready before this
         #: cycle unless a new request arrives (which resets it).
         self._sleep_until = 0
-        #: Optional bounded trace of issued commands (debug/analysis).
-        self.command_log: Optional[deque] = None
         #: Write-drain policy: "fcfs" schedules writes like reads (the
         #: paper's behaviour); "watermark" holds writebacks until the
         #: write buffers fill past a high watermark (or no reads are
@@ -179,11 +196,10 @@ class MemoryController:
         self._policy_hooks: Optional[SchedulingPolicy] = (
             policy if policy.has_hooks else None
         )
-        #: Optional runtime checker (repro.check); None in normal runs,
-        #: so the per-event hooks below cost one attribute test each.
-        self.checker: Optional["RunChecker"] = None
-        #: Optional run telemetry (repro.telemetry), same pattern.
-        self.telemetry = None
+        #: Subscriber to this controller's accept, command, refresh and
+        #: complete events (repro.observer); None in plain runs, so each
+        #: event site costs one attribute test.
+        self.observer: Optional[Observer] = None
         self.now = 0
 
     # -- request entry ---------------------------------------------------
@@ -228,10 +244,8 @@ class MemoryController:
         self._refresh_oldest_arrival(request.thread_id)
         self.stats.requests_accepted[request.thread_id] += 1
         self._sleep_until = 0
-        if self.checker is not None:
-            self.checker.on_accept(request, self.now)
-        if self.telemetry is not None:
-            self.telemetry.on_accept(request, self.now)
+        if self.observer is not None:
+            self.observer.on_accept(request, self.now)
         if self._policy_hooks is not None:
             self._policy_hooks.on_arrival(request, self.now)
         return True
@@ -275,8 +289,8 @@ class MemoryController:
                 # Refresh resets every bank (rows closed, t_rfc timing),
                 # so cached wake bounds no longer describe anything.
                 self.channel_scheduler.invalidate_all()
-                if self.checker is not None:
-                    self.checker.on_refresh(now)
+                if self.observer is not None:
+                    self.observer.on_refresh(now)
             else:
                 if self._update_write_drain():
                     # Eligibility flipped: previously computed sleep and
@@ -326,29 +340,14 @@ class MemoryController:
             wake = min(wake, max(now + 1, self.dram.next_refresh_due))
         return wake
 
-    def enable_command_log(self, capacity: int = 10_000) -> None:
-        """Start recording issued commands (bounded ring buffer)."""
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.command_log = deque(maxlen=capacity)
-
     def _issue(self, cand: CandidateCommand, now: int) -> None:
         self.dram.issue(cand.kind, cand.rank, cand.bank, cand.row, now)
-        if self.checker is not None:
-            self.checker.on_command(cand, now)
-        self.stats.commands_issued[cand.kind] += 1
-        if self.command_log is not None:
-            self.command_log.append(
-                LoggedCommand(
-                    cycle=now,
-                    kind=cand.kind,
-                    rank=cand.rank,
-                    bank=cand.bank,
-                    row=cand.row,
-                    thread=cand.charge_thread,
-                )
-            )
         scheduler = self._scheduler_index[(cand.rank, cand.bank)]
+        if self.observer is not None:
+            # Before any queue or row mutation, so the tracer's
+            # inversion probe sees the queue the selection saw.
+            self.observer.on_command(scheduler, cand, now)
+        self.stats.commands_issued[cand.kind] += 1
         scheduler.on_issue(cand, now)
         if self._policy_hooks is not None:
             self._policy_hooks.on_issue(cand, now)
@@ -395,10 +394,8 @@ class MemoryController:
         while self._in_flight and self._in_flight[0][0] <= now:
             _, _, request = heapq.heappop(self._in_flight)
             self.buffers.release(request)
-            if self.checker is not None:
-                self.checker.on_complete(request, now)
-            if self.telemetry is not None:
-                self.telemetry.on_complete(request, now)
+            if self.observer is not None:
+                self.observer.on_complete(request, now)
             if self._policy_hooks is not None:
                 self._policy_hooks.on_complete(request, now)
             if request.is_read:

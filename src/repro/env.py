@@ -68,21 +68,6 @@ ENV_VARS = (
         "(pure observers; results are unchanged).",
     ),
     EnvVar(
-        "REPRO_TRACE",
-        fingerprint_relevant=False,
-        description="Enables run telemetry/tracing (pure observer).",
-    ),
-    EnvVar(
-        "REPRO_TRACE_PERIOD",
-        fingerprint_relevant=False,
-        description="Telemetry sampling period in cycles.",
-    ),
-    EnvVar(
-        "REPRO_TRACE_RING",
-        fingerprint_relevant=False,
-        description="Telemetry per-thread lifecycle ring capacity.",
-    ),
-    EnvVar(
         "REPRO_JOBS",
         fingerprint_relevant=False,
         description="Default worker count for parallel sweeps; results "
@@ -114,19 +99,6 @@ ENV_VARS = (
         fingerprint_relevant=False,
         description="Test-suite only: rewrite golden report files "
         "instead of asserting against them.",
-    ),
-    EnvVar(
-        "REPRO_OBS",
-        fingerprint_relevant=False,
-        description="Attaches the engine-internals metrics registry "
-        "(repro.obs) to every freshly simulated run (pure observer; "
-        "results are bit-identical either way).",
-    ),
-    EnvVar(
-        "REPRO_OBS_PHASES",
-        fingerprint_relevant=False,
-        description="With REPRO_OBS: also time the event-loop phases "
-        "(wall clock, write-only; never a simulation input).",
     ),
     EnvVar(
         "REPRO_OBS_MANIFEST",
@@ -191,7 +163,7 @@ def flag(name: str) -> bool:
     """Tri-state off convention: unset, ``"0"``, and ``"false"`` (any
     case, surrounding whitespace ignored) are off; anything else is on.
 
-    The convention shared by ``REPRO_CHECK`` and ``REPRO_TRACE``.
+    The convention of ``REPRO_CHECK``.
     """
     declared(name)
     value = os.environ.get(name, "")

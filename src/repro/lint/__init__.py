@@ -7,8 +7,7 @@ linters cannot know:
 * DET001–DET009 — the determinism rules (randomness, wall clocks, set
   iteration, float key equality, mutable defaults, banned imports in
   the telemetry, policy, obs and serve packages); DET008 keeps
-  :mod:`repro.obs` a pure observer whose only wall-clock access is the
-  registered ``repro/obs/phases.py`` module.
+  :mod:`repro.obs` a pure observer with no wall-clock or RNG access.
 * FPR100 — every ``SystemConfig`` field must reach the result-cache
   fingerprint, or sweeps silently read stale cached results.
 * ENV200 — every ``REPRO_*`` environment read must go through the

@@ -69,10 +69,7 @@ POLICY_PACKAGE = "policy"
 
 #: Modules the obs package may not import at all (DET008): the
 #: observability layer is a pure observer whose outputs ride result
-#: manifests — randomness is banned outright, and the wall clock is
-#: confined to the single registered harness module
-#: (``repro/obs/phases.py``), which carries the one reasoned
-#: suppression.
+#: manifests, so neither the wall clock nor randomness may reach it.
 OBS_BANNED_MODULES = {"time", "datetime", "random"}
 
 #: Path component marking a file as part of the obs package.
@@ -245,10 +242,8 @@ class _HazardVisitor(ast.NodeVisitor):
                 node,
                 "DET008",
                 f"import of '{module}' inside the obs package; the "
-                "observability layer must stay a pure observer — wall-"
-                "clock access is confined to repro/obs/phases.py (the "
-                "registered harness module), randomness is banned "
-                "outright",
+                "observability layer must stay a pure observer — no "
+                "wall clock, no randomness",
             )
 
     def _check_serve_import(self, node: ast.AST, module: str) -> None:

@@ -276,7 +276,6 @@ def run_manifest(
     seed: int,
     result: Any,
     source: str = "fresh",
-    obs: Optional[Any] = None,
     attempts: int = 0,
     tenant: Optional[str] = None,
     spec_payload: Optional[Dict[str, Any]] = None,
@@ -285,8 +284,8 @@ def run_manifest(
     """The manifest payload for one finished simulation run.
 
     ``source`` labels how the result was obtained (``fresh``, ``memo``,
-    ``disk``, ``cache``, ``store``); ``obs`` (a :class:`~repro.obs.RunObs`)
-    contributes the engine-internals metrics when the run carried one.
+    ``disk``, ``cache``, ``store``).  Engine counters ride along as
+    ``extras.engine_*`` metrics, copied from the result's extras.
 
     The serve-store extensions are all optional and additive:
     ``attempts`` counts crash resubmissions the run survived (surfacing
@@ -301,8 +300,6 @@ def run_manifest(
     labels: Dict[str, str] = {"run.source": str(source)}
     if tenant is not None:
         labels["run.tenant"] = str(tenant)
-    if obs is not None:
-        metrics.update(obs.registry.metrics())
     metrics["run.attempts"] = float(attempts)
     metrics["result.cycles"] = float(result.cycles)
     for i, thread in enumerate(result.threads):

@@ -1,20 +1,9 @@
 """The metrics registry: named counters, gauges, and timers.
 
-The registry is the *cold* half of the observability layer: a flat
-``dotted.name -> float`` table, filled in at finalize time and
-serialized into run manifests.  The
-*hot* half is the ``__slots__`` counter struct
-(:class:`KeyCacheCounters`) that hot loops bump through plain
-attribute adds behind ``x is None`` guards — the
-same shape as the checker/telemetry hooks — and that
-:meth:`~repro.obs.RunObs.finalize` harvests into the registry once per
-run.  Nothing on a hot path ever touches a dict lookup or a string.
-
-Metric names are dotted paths (``engine.steps``,
-``wakeindex.stale_pops``, ``phase.targeting_s``); the manifest schema
-flattens nested structures to the same convention, so
-``repro-fqms perf`` compares every source of numbers through one key
-space.
+A flat ``dotted.name -> float`` table (``serve.busy_share_err``,
+``serve.queue_wait_s``); the manifest schema flattens nested
+structures to the same convention, so ``repro-fqms perf`` compares
+every source of numbers through one key space.
 """
 
 from __future__ import annotations
@@ -63,24 +52,3 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-
-class KeyCacheCounters:
-    """Hot counters for the per-request policy-key memo.
-
-    ``hits``/``misses`` track the ``request.key_cache`` memo on the
-    memoizing scheduler paths; ``uncached`` counts key builds by
-    policies that opted out of the memo (``memoize_keys=False`` —
-    BLISS, MISE), where hit/miss is not a meaningful split.
-    """
-
-    __slots__ = ("hits", "misses", "uncached")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.uncached = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

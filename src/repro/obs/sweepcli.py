@@ -10,7 +10,7 @@ single final snapshot otherwise.
 
 With ``--manifest-dir`` every run (fresh or cache-served) leaves a
 schema-validated run manifest behind: fresh runs write theirs from the
-worker (with engine metrics when ``REPRO_OBS`` is set); cache-served
+worker (engine counters as ``extras.engine_*``); cache-served
 results are backfilled here with ``run.source = cache``.  Manifest
 filenames are fingerprint-derived, so the directory converges instead
 of accumulating.
@@ -25,7 +25,7 @@ from typing import Any, List, Optional, Sequence
 
 from ..policy import canonical, registered_names
 from ..stats.report import render_table
-from . import OBS_ENV_VAR, OBS_MANIFEST_ENV_VAR
+from . import OBS_MANIFEST_ENV_VAR
 from .fleet import FleetMonitor, FleetState
 
 
@@ -129,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(equivalent to REPRO_OBS_MANIFEST=DIR)",
     )
     parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="attach the engine-internals metrics registry to every "
-        "freshly simulated run; equivalent to REPRO_OBS=1",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the persistent result cache for this invocation",
@@ -163,11 +157,8 @@ def main(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"sweep: {exc}")
         return 2
-    if args.obs:
-        # Via the environment so pool workers inherit it (same plumbing
-        # as --check/--trace in the main CLI).
-        os.environ[OBS_ENV_VAR] = "1"
     if args.manifest_dir:
+        # Via the environment so pool workers inherit it.
         os.environ[OBS_MANIFEST_ENV_VAR] = args.manifest_dir
     configure_cache(enabled=not args.no_cache)
 

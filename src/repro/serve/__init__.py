@@ -13,8 +13,7 @@ queue, with per-tenant φ shares and virtual-finish-time accounting.
 Layout (one concern per module, mirroring ``repro.obs``):
 
 * :mod:`repro.serve.clock` — the single wall-clock module under
-  ``serve/`` (DET009 confines ``time`` imports here, the way DET008
-  confines them to ``repro/obs/phases.py``).
+  ``serve/`` (DET009 confines ``time`` imports here).
 * :mod:`repro.serve.spec` — declarative sweep specs: policy × workload
   × φ × window × seed grids, expanded to deduplicated
   :class:`~repro.sim.parallel.RunSpec` lists.

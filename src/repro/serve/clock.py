@@ -3,9 +3,9 @@
 The experiment service genuinely needs host time — job timeouts,
 retry backoff pacing, tenant busy-second accounting — and the
 determinism contract genuinely bans it everywhere results are
-computed.  The resolution is the same as :mod:`repro.obs.phases` under
-DET008: confine every ``time`` import under ``serve/`` to this single
-registered module, and keep the hazard contained by construction:
+computed.  The resolution: confine every ``time`` import under
+``serve/`` to this single registered module (DET009), and keep the
+hazard contained by construction:
 
 * Nothing here ever flows into a simulation: timeouts kill *worker
   processes*, backoff paces *resubmissions*, and busy-seconds ride

@@ -158,11 +158,7 @@ def run_label(spec: RunSpec) -> str:
 def execute_spec(spec: RunSpec) -> SimResult:
     """Simulate ``spec`` from scratch (no cache layers consulted)."""
     config, profiles = spec.build()
-    # Tracing is forced off for batch/cached runs: telemetry never
-    # changes results (so cached results stay valid either way), but
-    # its buffers are per-run artifacts that the result cache cannot
-    # round-trip — traced runs go through the dedicated driver.
-    system = CmpSystem(config, profiles, trace=False)
+    system = CmpSystem(config, profiles)
     # Progress heartbeats ride a side thread sampling ``system.now``;
     # the simulation itself is untouched (chunking the run to emit
     # between chunks would change the engine_* extras and fork cached
@@ -184,7 +180,7 @@ def execute_spec(spec: RunSpec) -> SimResult:
         heartbeat.finish("done")
     out_dir = manifest_dir()
     if out_dir:
-        _write_run_manifest(out_dir, spec, system, result)
+        _write_run_manifest(out_dir, spec, result)
     return result
 
 
@@ -213,7 +209,7 @@ def execute_exchanging(
     return result, CmpSystem.prewarm_images(built)
 
 
-def _write_run_manifest(out_dir: str, spec: RunSpec, system, result) -> None:
+def _write_run_manifest(out_dir: str, spec: RunSpec, result) -> None:
     """Best-effort per-run manifest (REPRO_OBS_MANIFEST): never fatal."""
     from ..obs.manifest import emit_run_manifest
 
@@ -228,7 +224,6 @@ def _write_run_manifest(out_dir: str, spec: RunSpec, system, result) -> None:
             seed=spec.seed,
             result=result,
             source="fresh",
-            obs=system.obs,
         )
     except OSError:
         pass

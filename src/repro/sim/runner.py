@@ -113,15 +113,12 @@ def run_workload(
     seed: int = 0,
     inversion_bound: Optional[int] = None,
     engine: Optional[str] = None,
-    trace: Optional[bool] = None,
 ) -> SimResult:
     """Co-schedule ``profiles`` (one per core) under ``policy`` (uncached).
 
     ``engine`` overrides the simulation engine ("event" or "cycle");
-    None defers to ``REPRO_ENGINE`` / the event default.  ``trace``
-    attaches :mod:`repro.telemetry` observers (None defers to
-    ``REPRO_TRACE``); use :func:`repro.telemetry.driver.run_traced`
-    when you need the telemetry object back, not just the result.
+    None defers to ``REPRO_ENGINE`` / the event default.  Use
+    :func:`repro.telemetry.driver.run_traced` for a traced run.
     """
     kwargs = {} if engine is None else {"engine": engine}
     config = SystemConfig(
@@ -132,10 +129,9 @@ def run_workload(
         inversion_bound=inversion_bound,
         **kwargs,
     )
-    system = CmpSystem(config, profiles, trace=trace)
     if warmup is None:
         warmup = default_warmup(cycles)
-    result = system.run(cycles, warmup=warmup)
+    result = CmpSystem(config, profiles).run(cycles, warmup=warmup)
     out_dir = manifest_dir()
     if out_dir:
         # Same best-effort per-run manifest the batch workers emit.
@@ -154,7 +150,6 @@ def run_workload(
                 seed=seed,
                 result=result,
                 source="fresh",
-                obs=system.obs,
             )
         except OSError:
             pass

@@ -26,10 +26,9 @@ from ..controller.request import MemoryRequest, RequestKind
 from ..cpu.core_model import OooCore
 from ..cpu.hierarchy import CacheHierarchy
 from ..dram.dram_system import DramSystem
-from ..obs import RunObs, obs_enabled, phases_enabled
 from ..obs.engine import ENGINE_EXTRA_PREFIX, engine_extras
+from ..observer import Observer, subscribe
 from ..policy import make_policy
-from ..telemetry import RunTelemetry, trace_enabled
 from .config import SystemConfig
 from .wakeindex import WakeIndex
 
@@ -83,8 +82,6 @@ class CmpSystem:
         config: SystemConfig,
         profiles: Sequence,
         check: Optional[bool] = None,
-        trace: Optional[bool] = None,
-        obs: Optional[bool] = None,
     ):
         """Build a system running one workload per core.
 
@@ -100,24 +97,12 @@ class CmpSystem:
         holding a whole prewarm stream in memory.  A workload whose
         ``reads_file`` is true never has its warm L2 image memoized.
 
-        ``check`` attaches the :mod:`repro.check` runtime validators
-        (protocol sanitizer + scheduler invariant checker) to every
-        controller; ``None`` defers to the ``REPRO_CHECK`` environment
-        variable so checked runs survive the parallel engine's process
-        pool.  Checking never changes results — only whether violations
-        raise.
-
-        ``trace`` attaches the :mod:`repro.telemetry` observers
-        (request-lifecycle tracer + interval sampler) the same way;
-        ``None`` defers to ``REPRO_TRACE``.  Tracing never changes
-        results either — hooks are pure readers.
-
-        ``obs`` attaches the :mod:`repro.obs` engine-internals metrics
-        registry (wake-index churn, legality-kernel traffic, policy-key
-        memo effectiveness; with ``REPRO_OBS_PHASES`` also event-loop
-        phase timings) the same way; ``None`` defers to ``REPRO_OBS``.
-        Another pure observer — the obs-on/off differential tests pin
-        bit-identical results.
+        ``check`` attaches one :mod:`repro.check` runtime validator
+        (protocol sanitizer + scheduler invariant checker) per channel
+        through :meth:`attach`; ``None`` defers to the ``REPRO_CHECK``
+        environment variable so checked runs survive the parallel
+        engine's process pool.  Checking never changes results — only
+        whether violations raise.
         """
         if len(profiles) != config.num_cores:
             raise ValueError(
@@ -165,15 +150,20 @@ class CmpSystem:
         #: Single-channel aliases (the common case and the public API).
         self.dram = self.drams[0]
         self.controller = self.controllers[0]
+        #: Subscriber to the system's own events (submit, fill, sample,
+        #: finalize); None in plain runs.  See :meth:`attach`.
+        self.observer: Optional[Observer] = None
+        #: Every attached observer, in attach order (finalized by run).
+        self._subscribers: List[Observer] = []
         if check is None:
             check = checks_enabled()
         self.check = check
         self.checkers: List[RunChecker] = []
         if check:
-            for controller in self.controllers:
+            for channel, controller in enumerate(self.controllers):
                 checker = RunChecker(controller)
-                controller.checker = checker
                 self.checkers.append(checker)
+                self.attach(checker, channel=channel)
         #: Requests in flight toward the controllers: (arrival, seq, request).
         self._to_controller: List[Tuple[int, int, MemoryRequest]] = []
         #: Fills in flight toward cores: (deliver, seq, thread, line).
@@ -267,36 +257,24 @@ class CmpSystem:
                 submit=self._make_submit(core_id),
             )
             self.cores.append(core)
-        if trace is None:
-            trace = trace_enabled()
-        #: Optional observability layer (repro.telemetry); one shared
-        #: instance fanned out to every hook site, or None (the normal
-        #: case — each site then pays one attribute test per event).
-        self.telemetry: Optional[RunTelemetry] = None
-        if trace:
-            telemetry = RunTelemetry(self)
-            self.telemetry = telemetry
-            for controller in self.controllers:
-                controller.telemetry = telemetry
-                controller.channel_scheduler.telemetry = telemetry
-                for scheduler in controller.bank_schedulers:
-                    scheduler.telemetry = telemetry
-            for core in self.cores:
-                core.telemetry = telemetry
-        if obs is None:
-            obs = obs_enabled()
-        #: Optional engine-internals observability (repro.obs); like
-        #: telemetry, one shared instance fanned out at attach time, or
-        #: None (each hot site then pays one attribute test).
-        self.obs: Optional[RunObs] = None
-        #: The phase timer alone, hoisted by the engine loops; None
-        #: unless both REPRO_OBS and REPRO_OBS_PHASES are set.
-        self._obs_phases = None
-        if obs:
-            run_obs = RunObs(phase_timing=phases_enabled())
-            self.obs = run_obs
-            self._obs_phases = run_obs.phases
-            run_obs.attach(self)
+
+    def attach(self, observer: Observer, channel: Optional[int] = None) -> None:
+        """Subscribe ``observer`` to this system's events.
+
+        With ``channel`` None it hears every event: the system's own
+        (submit, fill, sample) and every controller's and channel
+        scheduler's.  With a channel index it hears only that
+        controller's and channel scheduler's.  Either way :meth:`run`
+        finalizes it.  Observers attached to one emitter are served in
+        attach order through a :class:`~repro.observer.Fanout`.
+        """
+        controllers = self.controllers if channel is None else [self.controllers[channel]]
+        for controller in controllers:
+            controller.observer = subscribe(controller.observer, observer)
+            controller.channel_scheduler.observer = controller.observer
+        if channel is None:
+            self.observer = subscribe(self.observer, observer)
+        self._subscribers.append(observer)
 
     #: Memoized warm L2 images, pickled (``pickle.dumps`` of
     #: :meth:`Cache.snapshot`), keyed by :meth:`prewarm_keys`: the image
@@ -426,6 +404,8 @@ class CmpSystem:
             # at the controller interface and retry each cycle.
             arrival = self.now + self.config.front_latency
             heapq.heappush(self._to_controller, (arrival, request.seq, request))
+            if self.observer is not None:
+                self.observer.on_submit(request, self.now)
             return True
 
         return submit
@@ -504,19 +484,15 @@ class CmpSystem:
             # event loop syncs on exit) and mark all wakes stale
             # after, since this full step ticks everything.
             self._sync_all(now)
-        if self.telemetry is not None:
+        observer = self.observer
+        if observer is not None and observer.next_sample <= now:
             # Sample at the top of the cycle, before any component
             # moves: both engines step every sample boundary (the event
             # engine clamps its skip targets to ``next_sample``), so on
             # or off, per-cycle or event-driven, the sampler observes
             # the exact same top-of-boundary state.
-            self.telemetry.maybe_sample(now)
-        phases = self._obs_phases
-        if phases is not None:
-            phases.begin("delivery")
+            observer.on_sample(now)
         self._deliver_to_controller(now)
-        if phases is not None:
-            phases.begin("scheduling")
         for controller in self.controllers:
             for request in controller.tick(now):
                 line = request.address >> self.address_map.offset_bits
@@ -531,10 +507,10 @@ class CmpSystem:
                     ),
                 )
 
-        if phases is not None:
-            phases.begin("dispatch")
         while self._to_cores and self._to_cores[0][0] <= now:
             _, _, thread_id, line = heapq.heappop(self._to_cores)
+            if observer is not None:
+                observer.on_fill(thread_id, line, now)
             self.cores[thread_id].on_fill(line, now)
 
         for core in self.cores:
@@ -631,7 +607,7 @@ class CmpSystem:
         """Catch every deferred component up to ``now``.
 
         The barrier before anything that reads whole-system state:
-        telemetry sample boundaries, snapshots, manual ``step()``, and
+        sampling deadlines, snapshots, manual ``step()``, and
         the end of an event run.
         """
         synced = self._synced
@@ -733,10 +709,10 @@ class CmpSystem:
                     windex.publish(slot, cores[slot - base].wake_time(now))
             del dirty[:]
         target = limit
-        if self.telemetry is not None:
+        if self.observer is not None:
             # Sampling deadlines are events: never skip across one, so
             # the boundary cycle is stepped and sampled at its top.
-            deadline = self.telemetry.next_sample
+            deadline = self.observer.next_sample
             if deadline <= now:
                 return now
             if deadline < target:
@@ -795,23 +771,17 @@ class CmpSystem:
         now = self.now
         windex = self._windex
         assert windex is not None
-        telemetry = self.telemetry
-        if telemetry is not None:
-            if telemetry.next_sample <= now:
-                # Samplers read whole-system state at the top of the
-                # boundary cycle: catch every deferred component up
-                # first so they observe exactly what the oracle's
-                # broadcast engine would have produced.
-                self._sync_all(now)
-            telemetry.maybe_sample(now)
-        phases = self._obs_phases
+        observer = self.observer
+        if observer is not None and observer.next_sample <= now:
+            # Samplers read whole-system state at the top of the
+            # boundary cycle: catch every deferred component up first
+            # so they observe exactly what the oracle's broadcast
+            # engine would have produced.
+            self._sync_all(now)
+            observer.on_sample(now)
         due = self._due_flag
         windex.pop_due(now, due)
-        if phases is not None:
-            phases.begin("delivery")
         self._deliver_to_controller(now)
-        if phases is not None:
-            phases.begin("scheduling")
         controllers = self.controllers
         synced = self._synced
         base = self._core_slot0
@@ -849,8 +819,6 @@ class CmpSystem:
                     wb[core_id] = (channel, current)
                 else:
                     due[base + core_id] = True
-        if phases is not None:
-            phases.begin("dispatch")
         to_cores = self._to_cores
         cores = self.cores
         while to_cores and to_cores[0][0] <= now:
@@ -859,6 +827,8 @@ class CmpSystem:
             if synced[slot] < now:
                 cores[thread_id].skip(synced[slot], now)
                 synced[slot] = now
+            if observer is not None:
+                observer.on_fill(thread_id, line, now)
             cores[thread_id].on_fill(line, now)
             due[slot] = True
         for i, core in enumerate(cores):
@@ -877,10 +847,7 @@ class CmpSystem:
         self.now = now + 1
 
     def _run_event(self, limit: int) -> None:
-        phases = self._obs_phases
         while self.now < limit:
-            if phases is not None:
-                phases.begin("targeting")
             target = self._event_target(limit)
             if target > self.now:
                 self._skip_span(target)
@@ -889,7 +856,7 @@ class CmpSystem:
             self.engine_steps += 1
             self._sparse_step()
         # Leave no deferred accounting behind: measurement snapshots
-        # and checker/telemetry finalization read whole-system state.
+        # and observer finalization read whole-system state.
         self._sync_all(self.now)
 
     def run_cycles(self, cycles: int, fast_forward: bool = True) -> None:
@@ -946,12 +913,8 @@ class CmpSystem:
         before = self._snapshot()
         self.run_cycles(cycles)
         after = self._snapshot()
-        for checker in self.checkers:
-            checker.finalize(self.now)
-        if self.telemetry is not None:
-            self.telemetry.finalize(self.now)
-        if self.obs is not None:
-            self.obs.finalize(self)
+        for observer in self._subscribers:
+            observer.finalize(self.now)
         return self._result(before, after)
 
     def check_summary(self) -> Dict[str, int]:
@@ -998,9 +961,7 @@ class CmpSystem:
             * self.dram.num_ranks
             * self.config.num_channels
         )
-        # Execution-facts block (engine_* keys), shared with the obs
-        # registry's canonical names and identical whether obs is
-        # attached or not — see repro.obs.engine.
+        # Execution-facts block (engine_* keys) — see repro.obs.engine.
         extras = engine_extras(self)
         return SimResult(
             policy=self.controller.policy.name,

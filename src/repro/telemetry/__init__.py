@@ -14,13 +14,13 @@ Three layers over one :class:`RunTelemetry` object per system:
   Chrome/Perfetto ``trace_event`` JSON, CSV/JSONL interval dumps, and
   the ``repro-fqms report`` textual dashboard.
 
-Tracing is opt-in: pass ``--trace`` on the CLI or set ``REPRO_TRACE=1``
-(mirroring :mod:`repro.check`'s pattern).  The flag is deliberately
-*not* part of :class:`~repro.sim.config.SystemConfig`, so result-cache
-fingerprints do not fork on it; traced and untraced runs are
-bit-identical because every hook only observes, never steers.  When
-disabled, the hook sites cost one ``telemetry is None`` attribute test
-each (~0% overhead, enforced by ``benchmarks/bench_telemetry_overhead``).
+Tracing is opt-in: ``repro-fqms trace``/``report`` and
+:func:`repro.telemetry.driver.run_traced` build a :class:`RunTelemetry`
+and subscribe it through :meth:`~repro.sim.system.CmpSystem.attach`,
+the one observer attach point (:mod:`repro.observer`).  Traced and
+untraced runs are bit-identical because every hook only observes,
+never steers; an untraced run pays one ``observer is None`` test per
+event site.
 
 All timestamps are simulated cycles — wall-clock or RNG use inside
 this package is a DET006 determinism-lint error.
@@ -28,10 +28,9 @@ this package is a DET006 determinism-lint error.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .. import env
-
+from ..observer import Observer
 from .lifecycle import (
     DEFAULT_RING_CAPACITY,
     BankCommandLog,
@@ -54,18 +53,7 @@ __all__ = [
     "LifecycleTracer",
     "RequestLifecycle",
     "RunTelemetry",
-    "TRACE_ENV_VAR",
-    "trace_enabled",
-    "trace_period",
-    "trace_ring_capacity",
 ]
-
-#: Environment switch for run tracing (mirrors ``REPRO_CHECK``).
-TRACE_ENV_VAR = "REPRO_TRACE"
-#: Sampling-period override (cycles).
-TRACE_PERIOD_ENV_VAR = "REPRO_TRACE_PERIOD"
-#: Ring-capacity override (completed lifecycles retained per thread).
-TRACE_RING_ENV_VAR = "REPRO_TRACE_RING"
 
 #: Command durations drawn on the Perfetto bank tracks, by kind name;
 #: resolved against the run's DDR2 timing at record time.
@@ -77,53 +65,33 @@ _COMMAND_SPANS = {
 }
 
 
-def trace_enabled() -> bool:
-    """True when run tracing is requested via the environment.
-
-    Any value other than the empty string, ``"0"``, or ``"false"``
-    (case-insensitive) enables tracing — the same convention as
-    :func:`repro.check.checks_enabled`, and propagated the same way
-    (worker processes inherit the environment).
-    """
-    return env.flag(TRACE_ENV_VAR)
-
-
-def trace_period(default: int = DEFAULT_SAMPLE_PERIOD) -> int:
-    """Sampling period in cycles (``REPRO_TRACE_PERIOD`` or default)."""
-    return env.positive_int(TRACE_PERIOD_ENV_VAR, default)
-
-
-def trace_ring_capacity(default: int = DEFAULT_RING_CAPACITY) -> int:
-    """Per-thread lifecycle ring capacity (``REPRO_TRACE_RING`` or default)."""
-    return env.positive_int(TRACE_RING_ENV_VAR, default)
-
-
-class RunTelemetry:
+class RunTelemetry(Observer):
     """Observability state for one :class:`~repro.sim.system.CmpSystem`.
 
-    The system attaches one instance to itself, its controllers, its
-    bank/channel schedulers, and its cores; each component calls the
-    hook for its own station with a ``telemetry is not None`` guard.
-    Every hook is a pure observer: it reads simulator state and writes
-    only telemetry-owned buffers, which is what keeps traced runs
-    bit-identical to untraced runs.
+    Subscribe it with ``system.attach(RunTelemetry(system))``: it hears
+    every station of every request.  Every hook is a pure observer: it
+    reads simulator state and writes only telemetry-owned buffers,
+    which is what keeps traced runs bit-identical to untraced runs.
+    Lifecycle and bank-log rings keep :data:`DEFAULT_RING_CAPACITY`
+    entries; ``sample_period`` (cycles) must be positive.
     """
 
     def __init__(
-        self,
-        system: "CmpSystem",
-        sample_period: Optional[int] = None,
-        ring_capacity: Optional[int] = None,
+        self, system: "CmpSystem", sample_period: int = DEFAULT_SAMPLE_PERIOD
     ):
         self.system = system
         num_threads = system.config.num_cores
-        if sample_period is None:
-            sample_period = trace_period()
-        if ring_capacity is None:
-            ring_capacity = trace_ring_capacity()
-        self.tracer = LifecycleTracer(num_threads, ring_capacity)
+        self.tracer = LifecycleTracer(num_threads)
         self.sampler = IntervalSampler(self, sample_period)
-        self.bank_log = BankCommandLog(ring_capacity)
+        self.bank_log = BankCommandLog()
+        #: Cache-line offset bits, to name a submitted request's line.
+        self._offset_bits = system.address_map.offset_bits
+        #: Each channel's DRAM (by identity) → channel index, so a
+        #: command without a request (auto-precharge) lands on the
+        #: issuing channel's bank track.
+        self._channel_of: Dict[int, int] = {
+            id(dram): channel for channel, dram in enumerate(system.drams)
+        }
         #: Per-thread monotonic counters (the sampler takes deltas).
         self.first_commands: List[int] = [0] * num_threads
         self.row_hits: List[int] = [0] * num_threads
@@ -148,20 +116,20 @@ class RunTelemetry:
         """Next sampling deadline; folded into the event target."""
         return self.sampler.next_sample
 
-    def maybe_sample(self, now: int) -> None:
+    def on_sample(self, now: int) -> None:
         self.sampler.maybe_sample(now)
 
     def finalize(self, now: int) -> None:
         """Flush the trailing partial interval at end of run."""
         self.sampler.finalize(now)
 
-    # -- core-side hooks ---------------------------------------------------
+    # -- system-side hooks -------------------------------------------------
 
-    def on_core_submit(self, request: "MemoryRequest", line: int, now: int) -> None:
+    def on_submit(self, request: "MemoryRequest", now: int) -> None:
         """An accepted submit left the core (lifecycle station 1)."""
-        self.tracer.on_submit(request, line, now)
+        self.tracer.on_submit(request, request.address >> self._offset_bits, now)
 
-    def on_core_fill(self, thread: int, line: int, now: int) -> None:
+    def on_fill(self, thread: int, line: int, now: int) -> None:
         """A fill reached its core (terminal station for reads)."""
         self.tracer.on_fill(thread, line, now)
 
@@ -175,14 +143,12 @@ class RunTelemetry:
         """The request's data finished on the bus (station 5)."""
         self.tracer.on_complete(request, now)
 
-    # -- scheduler-side hooks ----------------------------------------------
-
-    def on_bank_issue(
+    def on_command(
         self, scheduler: "BankScheduler", cand: "CandidateCommand", now: int
     ) -> None:
         """A command issued from one bank queue (stations 3 and 4).
 
-        Called by :meth:`BankScheduler.on_issue` *before* it mutates
+        The controller emits it *before* the bank scheduler mutates
         queue or row state, so the inversion check sees exactly the
         queue the selection saw.  Key recomputation goes through the
         policy directly (not the per-request memo) so tracing leaves
@@ -192,7 +158,7 @@ class RunTelemetry:
         timing = scheduler.dram.timing
         kind_name = cand.kind.name
         duration = getattr(timing, _COMMAND_SPANS.get(kind_name, "burst"))
-        channel = request.channel if request is not None else 0
+        channel = self._channel_of[id(scheduler.dram)]
         self.bank_log.record(
             channel,
             cand.rank,
@@ -233,10 +199,10 @@ class RunTelemetry:
                 request, scheduler.policy.request_key(request)
             )
 
-    def on_arbitration(self, now: int, ready_candidates: int) -> None:
-        """The channel scheduler issued with ``ready_candidates`` ready."""
+    def on_arbitration(self, now: int, ready: int) -> None:
+        """The channel scheduler issued with ``ready`` banks ready."""
         self.arbitration_rounds += 1
-        if ready_candidates > 1:
+        if ready > 1:
             self.contended_arbitrations += 1
 
     # -- reporting ---------------------------------------------------------

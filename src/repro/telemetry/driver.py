@@ -3,7 +3,7 @@
 ``repro-fqms trace`` and ``repro-fqms report`` go through
 :func:`run_traced`, which is the telemetry counterpart of
 :func:`repro.sim.runner.run_workload`: same configuration surface, but
-the system is built with tracing attached and the caller gets the
+a :class:`RunTelemetry` is attached to the system and the caller gets the
 telemetry object (and the per-thread fair-share bandwidth targets,
 derived the same way Figure 9 derives them: solo runs waterfilled
 through :func:`repro.stats.fair_share_targets`) back alongside the
@@ -27,6 +27,7 @@ from ..sim.system import CmpSystem, SimResult
 from ..stats.metrics import fair_share_targets
 from ..workloads.spec2000 import profile as lookup_profile
 from . import RunTelemetry
+from .sampler import DEFAULT_SAMPLE_PERIOD
 
 
 @dataclass
@@ -55,14 +56,14 @@ def run_traced(
     seed: int = 0,
     inversion_bound: Optional[int] = None,
     engine: Optional[str] = None,
-    sample_period: Optional[int] = None,
+    sample_period: int = DEFAULT_SAMPLE_PERIOD,
     with_targets: bool = True,
 ) -> TracedRun:
     """Run ``profiles`` under ``policy`` with telemetry attached.
 
-    ``sample_period`` overrides the interval-sampler period (cycles);
-    ``with_targets=False`` skips the solo baseline runs (e.g. for
-    unregistered synthetic profiles or pure export use).
+    ``sample_period`` is the interval-sampler period (cycles; must be
+    positive); ``with_targets=False`` skips the solo baseline runs (e.g.
+    for unregistered synthetic profiles or pure export use).
     """
     kwargs = {} if engine is None else {"engine": engine}
     config = SystemConfig(
@@ -73,13 +74,9 @@ def run_traced(
         inversion_bound=inversion_bound,
         **kwargs,
     )
-    system = CmpSystem(config, profiles, trace=True)
-    telemetry = system.telemetry
-    assert telemetry is not None
-    if sample_period is not None:
-        # Replace the sampler before any cycle runs; the period is a
-        # pure observation knob, so this cannot perturb the run.
-        telemetry.sampler = type(telemetry.sampler)(telemetry, sample_period)
+    system = CmpSystem(config, profiles)
+    telemetry = RunTelemetry(system, sample_period)
+    system.attach(telemetry)
     if warmup is None:
         warmup = default_warmup(cycles)
     result = system.run(cycles, warmup=warmup)

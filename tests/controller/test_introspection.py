@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controller.address_map import AddressMap
-from repro.controller.controller import ControllerStats, MemoryController
+from repro.controller.controller import CommandLog, ControllerStats, MemoryController
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.policies import get_policy
 from repro.dram.commands import CommandType
@@ -35,19 +35,19 @@ class TestCommandLog:
     def test_disabled_by_default(self):
         controller, _ = make_controller()
         run_request(controller)
-        assert controller.command_log is None
+        assert controller.observer is None
 
     def test_golden_closed_page_read_sequence(self):
         controller, timing = make_controller()
-        controller.enable_command_log()
+        log = controller.observer = CommandLog()
         run_request(controller)
-        kinds = [entry.kind for entry in controller.command_log]
+        kinds = [entry.kind for entry in log.entries]
         assert kinds == [
             CommandType.ACTIVATE,
             CommandType.READ,
             CommandType.PRECHARGE,  # closed-page auto-precharge
         ]
-        act, read, pre = controller.command_log
+        act, read, pre = log.entries
         assert act.cycle == 0
         assert read.cycle == timing.t_rcd
         assert pre.cycle >= timing.t_ras
@@ -55,7 +55,7 @@ class TestCommandLog:
 
     def test_row_hit_sequence_has_single_activate(self):
         controller, timing = make_controller()
-        controller.enable_command_log()
+        log = controller.observer = CommandLog()
         for column in range(3):
             request = MemoryRequest(
                 thread_id=0, kind=RequestKind.READ,
@@ -64,21 +64,20 @@ class TestCommandLog:
             controller.try_enqueue(request)
         for now in range(800):
             controller.tick(now)
-        kinds = [e.kind for e in controller.command_log]
+        kinds = [e.kind for e in log.entries]
         assert kinds.count(CommandType.ACTIVATE) == 1
         assert kinds.count(CommandType.READ) == 3
         assert kinds.count(CommandType.PRECHARGE) == 1
 
     def test_bounded_capacity(self):
         controller, _ = make_controller()
-        controller.enable_command_log(capacity=2)
+        log = controller.observer = CommandLog(capacity=2)
         run_request(controller)
-        assert len(controller.command_log) == 2  # oldest entries dropped
+        assert len(log.entries) == 2  # oldest entries dropped
 
     def test_rejects_bad_capacity(self):
-        controller, _ = make_controller()
         with pytest.raises(ValueError):
-            controller.enable_command_log(capacity=0)
+            CommandLog(capacity=0)
 
 
 class TestLatencyHistogram:

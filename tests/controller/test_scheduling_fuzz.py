@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from repro.check import RunChecker
 from repro.controller.address_map import AddressMap
-from repro.controller.controller import MemoryController
+from repro.controller.controller import CommandLog, MemoryController
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.policies import get_policy
 from repro.dram.commands import CommandType
 from repro.dram.dram_system import DramSystem
 from repro.dram.timing import DDR2Timing
+from repro.observer import Fanout
 
 AMAP = AddressMap()
 
@@ -50,8 +51,8 @@ def test_no_timing_violations_and_all_complete(policy, stream):
         dram, AMAP, num_threads=2, policy=get_policy(policy)
     )
     checker = RunChecker(controller)
-    controller.checker = checker
-    controller.enable_command_log()
+    log = CommandLog()
+    controller.observer = Fanout(checker, log)
     accepted = []
     now = 0
     pending = list(stream)
@@ -79,13 +80,13 @@ def test_no_timing_violations_and_all_complete(policy, stream):
         controller.tick(now + extra)
     assert controller.buffers.total_occupancy() == 0
     checker.finalize(now + 5)
-    assert checker.protocol.commands_checked == len(controller.command_log)
+    assert checker.protocol.commands_checked == len(log.entries)
     assert checker.protocol.refreshes_checked == dram.refresh_count
     # No row opens once a refresh is due until one has started, so a
     # stream that activated past the first deadline must have refreshed.
     if any(
         c.kind is CommandType.ACTIVATE and c.cycle >= T_REFI
-        for c in controller.command_log
+        for c in log.entries
     ):
         assert dram.refresh_count >= 1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controller.address_map import AddressMap
-from repro.controller.controller import MemoryController
+from repro.controller.controller import CommandLog, MemoryController
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.policies import get_policy
 from repro.dram.commands import CommandType
@@ -46,7 +46,7 @@ class TestValidation:
 class TestGating:
     def test_writes_held_while_reads_pending_below_watermark(self):
         controller = make_controller()
-        controller.enable_command_log()
+        log = controller.observer = CommandLog()
         # Two writes (below the high watermark of 6) and a stream of
         # reads: the reads must all issue before any write.
         for column in range(2):
@@ -55,7 +55,7 @@ class TestGating:
             controller.try_enqueue(req(RequestKind.READ, 1, 5, column))
         for now in range(3_000):
             controller.tick(now)
-        kinds = [e.kind for e in controller.command_log]
+        kinds = [e.kind for e in log.entries]
         first_write = kinds.index(CommandType.WRITE)
         assert kinds[:first_write].count(CommandType.READ) == 4
 

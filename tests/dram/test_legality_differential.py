@@ -225,9 +225,9 @@ def _instrument(system):
     so a tick that issued nothing and started no refresh leaves the
     previous verdict standing and is not re-verified.
     """
-    for controller in system.controllers:
+    for controller, checker in zip(system.controllers, system.checkers):
         dram = controller.dram
-        sanitizer = controller.checker.protocol
+        sanitizer = checker.protocol
         original = controller.tick
         seen = [-1]
 

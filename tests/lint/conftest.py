@@ -18,13 +18,15 @@ from repro.lint.registry import resolve
 
 
 @pytest.fixture
-def project_of():
+def project_of(tmp_path):
     def build(files, root=None):
         sources = [
             SourceFile(Path(path), source=textwrap.dedent(source))
             for path, source in files.items()
         ]
-        return Project(sources, root=root)
+        # Without an explicit root the project gets an empty directory,
+        # so ENV200's docs check never reads the checkout's README.
+        return Project(sources, root=tmp_path if root is None else root)
 
     return build
 

@@ -1,9 +1,9 @@
 """DET008: the obs package must stay a pure observer.
 
 Wall-clock and RNG imports are banned anywhere under an ``obs``
-package directory, with exactly one sanctioned escape hatch: an
-explicit ``lint: allow(DET008, ...)`` suppression, which the real tree
-uses once — ``repro/obs/phases.py``, the registered harness module.
+package directory.  The one escape hatch is an explicit
+``lint: allow(DET008, ...)`` suppression, which the real tree no
+longer uses.
 """
 
 from repro.lint import run_lint

@@ -1,6 +1,6 @@
-"""The metrics registry and the hot counter structs."""
+"""The metrics registry."""
 
-from repro.obs import KeyCacheCounters, MetricsRegistry, RunObs
+from repro.obs import MetricsRegistry
 
 
 class TestMetricsRegistry:
@@ -34,33 +34,3 @@ class TestMetricsRegistry:
         assert MetricsRegistry().get("missing") == 0.0
         assert MetricsRegistry().get("missing", -1.0) == -1.0
 
-
-class TestCounterStructs:
-    def test_key_cache_hit_ratio(self):
-        c = KeyCacheCounters()
-        assert c.hit_ratio == 0.0  # no traffic: defined, not a ZeroDivisionError
-        c.hits, c.misses = 3, 1
-        assert c.hit_ratio == 0.75
-
-    def test_counters_reject_new_attributes(self):
-        # __slots__ keeps the hot structs dict-free; a typo'd bump must
-        # fail loudly instead of silently creating a dead attribute.
-        import pytest
-
-        with pytest.raises(AttributeError):
-            KeyCacheCounters().hit = 1
-
-
-class TestRunObs:
-    def test_finalize_is_idempotent(self):
-        class _System:
-            pass
-
-        obs = RunObs()
-        obs._finalized = True  # short-circuit: harvest must not run twice
-        obs.finalize(_System())
-        assert obs.metrics() == {}
-
-    def test_phase_timer_only_when_armed(self):
-        assert RunObs().phases is None
-        assert RunObs(phase_timing=True).phases is not None

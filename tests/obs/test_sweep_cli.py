@@ -17,7 +17,6 @@ def _isolated_caches(tmp_path, monkeypatch):
     because ``sweep`` itself reconfigures the cache from the environment
     on every invocation.
     """
-    monkeypatch.delenv("REPRO_OBS", raising=False)
     monkeypatch.delenv("REPRO_OBS_MANIFEST", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     runner.clear_solo_cache()
@@ -65,21 +64,21 @@ class TestEndToEnd:
         # First sweep simulates fresh and writes worker-side manifests.
         assert main(
             self.ARGS
-            + ["--policies", "FQ-VFTF", "--obs", "--manifest-dir", str(out_dir)]
+            + ["--policies", "FQ-VFTF", "--manifest-dir", str(out_dir)]
         ) == 0
         files = sorted(out_dir.glob("run-*.json"))
         assert len(files) == 1
         fresh = json.loads(files[0].read_text())
         assert fresh["kind"] == "run"
         assert fresh["labels"]["run.source"] == "fresh"
-        assert any(name.startswith("engine.") for name in fresh["metrics"])
+        assert "extras.engine_steps" in fresh["metrics"]
 
         # Second sweep is fully cache-served; the fingerprint-named
         # manifest already exists, so the fresh record is left intact.
         capsys.readouterr()
         assert main(
             self.ARGS
-            + ["--policies", "FQ-VFTF", "--obs", "--manifest-dir", str(out_dir)]
+            + ["--policies", "FQ-VFTF", "--manifest-dir", str(out_dir)]
         ) == 0
         again = json.loads(files[0].read_text())
         assert again["labels"]["run.source"] == "fresh"

@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+from repro.check.harness import QUAD_WORKLOAD
+from repro.sim.config import SystemConfig
+from repro.sim.system import CmpSystem
+from repro.telemetry import RunTelemetry
 from repro.telemetry.driver import run_traced
 from repro.telemetry.export import (
     BANK_PID,
@@ -102,6 +106,36 @@ class TestPerfettoSchema:
             problems = validate_trace(corrupted)
             assert problems, f"expected a problem mentioning {needle!r}"
             assert any(needle in p for p in problems), problems
+
+
+class TestBankTracks:
+    def test_two_channel_bank_log_matches_each_controller(self):
+        """Every command lands on its issuing channel's bank tracks.
+
+        A closed-page auto-precharge carries no request, so its channel
+        must come from the issuing controller, not from a request.
+        """
+        config = SystemConfig(
+            num_cores=len(QUAD_WORKLOAD), policy="FQ-VFTF", num_channels=2
+        )
+        system = CmpSystem(config, [profile(name) for name in QUAD_WORKLOAD])
+        telemetry = RunTelemetry(system)
+        system.attach(telemetry)
+        system.run(8_000, warmup=2_000)
+        log = telemetry.bank_log
+        assert log.dropped == 0
+        for channel, controller in enumerate(system.controllers):
+            logged = {}
+            for bank in log.banks():
+                if bank[0] == channel:
+                    for event in log.events(*bank):
+                        logged[event[1]] = logged.get(event[1], 0) + 1
+            issued = {
+                kind.name: count
+                for kind, count in controller.stats.commands_issued.items()
+                if count
+            }
+            assert logged == issued, channel
 
 
 class TestIntervalDumps:
