@@ -12,7 +12,7 @@ Examples::
     repro-fqms report --workload vpr,art --policy FR-FCFS
     repro-fqms compare                # rank every registered policy
     repro-fqms compare --policies FR-FCFS,FQ-VFTF,BLISS --json cmp.json
-    repro-fqms sweep --progress --jobs 4       # live fleet dashboard
+    repro-fqms sweep --progress --workers 4    # live fleet dashboard
     repro-fqms perf BENCH_old.json BENCH_new.json --threshold 0.1
 """
 
@@ -196,17 +196,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .obs.perfcli import main as perf_main
 
         return perf_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        # And 'sweep' runs a (mix x policy) batch with optional live
-        # fleet progress and per-run manifests.
-        from .obs.sweepcli import main as sweep_main
-
-        return sweep_main(argv[1:])
-    if argv and argv[0] in ("serve", "submit", "status", "results"):
+    if argv and argv[0] in ("serve", "submit", "status", "results", "sweep"):
         # The experiment-service family: 'serve' runs the fair-queued
         # async orchestrator, 'submit'/'status' talk to it over the
         # JSON-line protocol, 'results' queries the result store
-        # directly (no service needed).
+        # directly (no service needed), and 'sweep' runs one grid
+        # through an in-process service.
         from .serve.cli import main as serve_main
 
         return serve_main(argv)
@@ -215,8 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Fair Queuing Memory Systems (MICRO 2006) reproduction; "
         "'repro-fqms lint' runs the contract-aware static analysis, "
         "'repro-fqms perf' compares performance snapshots, and "
-        "'repro-fqms sweep' runs batches with live fleet progress, and "
-        "'repro-fqms serve|submit|status|results' is the fair-queued "
+        "'repro-fqms serve|submit|status|results|sweep' is the fair-queued "
         "experiment service (each has its own --help)",
     )
     parser.add_argument(

@@ -70,8 +70,8 @@ ENV_VARS = (
     EnvVar(
         "REPRO_JOBS",
         fingerprint_relevant=False,
-        description="Default worker count for parallel sweeps; results "
-        "are bit-identical at any job count.",
+        description="Default worker count for the figure and compare "
+        "batches; results are bit-identical at any job count.",
     ),
     EnvVar(
         "REPRO_CACHE_DIR",
@@ -99,12 +99,6 @@ ENV_VARS = (
         fingerprint_relevant=False,
         description="Test-suite only: rewrite golden report files "
         "instead of asserting against them.",
-    ),
-    EnvVar(
-        "REPRO_OBS_MANIFEST",
-        fingerprint_relevant=False,
-        description="Directory for per-run schema-validated manifests "
-        "written by the runner and sweep workers.",
     ),
     EnvVar(
         "REPRO_SERVE",

@@ -1,9 +1,9 @@
 """Engine observability: metrics registry, manifests, fleet streaming.
 
 ``repro.obs`` records how the simulator *ran* — engine counters, result
-digests, ``run_many`` fleet state — the way ``repro.telemetry`` records
-what the simulated requests did.  It adds no hook to the simulator:
-per-layer performance attribution is measured from outside by
+digests, worker progress — the way ``repro.telemetry`` records what the
+simulated requests did.  It adds no hook to the simulator: per-layer
+performance attribution is measured from outside by
 ``benchmarks/e2e/spans.py``, and every run's free-running engine
 counters already ride ``SimResult.extras`` as ``engine_*`` keys, which
 run manifests carry as ``extras.engine_*`` metrics.
@@ -14,34 +14,15 @@ Layout:
   gauges).
 * :mod:`repro.obs.engine` — owns the ``engine_*`` extras block.
 * :mod:`repro.obs.manifest` — the schema-validated run/bench/profile
-  manifest records and the one shared writer.
-* :mod:`repro.obs.fleet` — worker heartbeats over a multiprocessing
-  queue and the live terminal fleet dashboard.
-* :mod:`repro.obs.perfcli` / :mod:`repro.obs.sweepcli` — the
-  ``repro-fqms perf`` and ``repro-fqms sweep`` subcommands.
-
-Knob (declared in :mod:`repro.env`): ``REPRO_OBS_MANIFEST=DIR`` makes
-runner/parallel write one manifest per executed run into ``DIR``.
+  manifest records and the one shared writer; the result store
+  (:mod:`repro.serve.store`) writes every run manifest through it.
+* :mod:`repro.obs.fleet` — experiment-service worker heartbeats over a
+  multiprocessing queue and the terminal fleet dashboard.
+* :mod:`repro.obs.perfcli` — the ``repro-fqms perf`` subcommand.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .. import env
 from .registry import MetricsRegistry
 
-OBS_MANIFEST_ENV_VAR = "REPRO_OBS_MANIFEST"
-
-
-def manifest_dir() -> Optional[str]:
-    """``REPRO_OBS_MANIFEST``: directory for per-run manifests, or None."""
-    value = env.raw(OBS_MANIFEST_ENV_VAR)
-    return value if value else None
-
-
-__all__ = [
-    "MetricsRegistry",
-    "OBS_MANIFEST_ENV_VAR",
-    "manifest_dir",
-]
+__all__ = ["MetricsRegistry"]

@@ -1,8 +1,10 @@
-"""Fleet progress streaming for ``run_many`` worker pools.
+"""Fleet progress streaming for the experiment service's workers.
 
 Workers heartbeat (run id, state, simulated-cycle progress) over a
-``multiprocessing.Manager`` queue to a live terminal dashboard in the
-parent — the ``repro-fqms sweep --progress`` view.
+``multiprocessing.Manager`` queue to the service process, where a
+:class:`FleetMonitor` folds them into a :class:`FleetState` — the
+``repro-fqms status`` dashboard and the ``repro-fqms sweep --progress``
+view.  A Manager queue is used because it survives a SIGKILLed worker.
 
 The one hard constraint is bit-identity: progress reporting must not
 perturb the simulation.  Chunking ``run_cycles`` to emit between
@@ -13,14 +15,11 @@ simulation exactly as before and a daemon *thread* samples
 :data:`HEARTBEAT_INTERVAL_S` seconds and posts it to the queue.  The
 simulation thread never blocks on, or branches for, the heartbeat.
 
-Queue plumbing: ``run_many`` passes the Manager queue's picklable
-proxy to each pool worker through the pool initializer
-(:func:`init_worker`); ``execute_spec`` picks it up from the module
-global.  The parent drains events with :class:`FleetMonitor` between
-``wait()`` timeouts.  A worker that dies mid-run simply stops
-heartbeating; :meth:`FleetState.finish` converts every still-running
-entry to the terminal ``lost`` state so truncated streams are visible
-rather than eternally "running".
+Queue plumbing: the service hands its queue's picklable proxy to each
+worker as an argument (:func:`repro.sim.parallel.execute_spec`'s
+``heartbeats``), and pumps the monitor from its scheduler tick and on
+every ``status`` call.  A worker that dies mid-run simply stops
+heartbeating; the service marks the job ``retried`` or ``lost`` itself.
 """
 
 from __future__ import annotations
@@ -34,27 +33,12 @@ from ..stats.report import sparkline
 #: Seconds between worker heartbeat samples.
 HEARTBEAT_INTERVAL_S = 0.2
 
-#: States a run can report; ``lost`` is synthesized by the monitor and
-#: ``retried`` marks a crash-orphaned run awaiting resubmission (the
-#: retry loop in :mod:`repro.sim.parallel` and the serve scheduler).
+#: States a run can report; ``lost`` and ``retried`` (a crash-orphaned
+#: run awaiting resubmission) come from the serve scheduler.
 RUN_STATES = ("queued", "running", "retried", "done", "cached", "error", "lost")
 
 #: States that end a run's stream.
 TERMINAL_STATES = ("done", "cached", "error", "lost")
-
-# Queue handed to pool workers via the initializer (see init_worker).
-_worker_queue: Optional[Any] = None
-
-
-def init_worker(queue: Any) -> None:
-    """Pool initializer: stash the heartbeat queue proxy for this worker."""
-    global _worker_queue
-    _worker_queue = queue
-
-
-def worker_queue() -> Optional[Any]:
-    """The heartbeat queue for this process, or None (heartbeats off)."""
-    return _worker_queue
 
 
 def heartbeat_event(
@@ -118,7 +102,7 @@ class WorkerHeartbeat:
 class RunProgress:
     """Dashboard state for one run: latest sample plus cycle history."""
 
-    __slots__ = ("run_id", "state", "cycle", "total", "history", "retries")
+    __slots__ = ("run_id", "state", "cycle", "total", "history")
 
     def __init__(self, run_id: str):
         self.run_id = run_id
@@ -126,8 +110,6 @@ class RunProgress:
         self.cycle = 0
         self.total = 0
         self.history: List[float] = []
-        #: Crash resubmissions observed for this run (``retried`` events).
-        self.retries = 0
 
     @property
     def fraction(self) -> float:
@@ -163,8 +145,6 @@ class FleetState:
         progress = self.expect(run_id)
         if progress.terminal:
             return  # late heartbeat from an already-finished run
-        if state == "retried":
-            progress.retries += 1
         progress.state = state
         cycle = event.get("cycle")
         total = event.get("total")
@@ -173,19 +153,6 @@ class FleetState:
             progress.history.append(float(cycle))
         if isinstance(total, int) and total > 0:
             progress.total = total
-
-    def finish(self) -> List[str]:
-        """Close the stream: non-terminal runs become ``lost``.
-
-        Returns the ids marked lost — a nonempty list means a worker
-        crashed (or the queue died) mid-run.
-        """
-        lost = []
-        for progress in self.runs.values():
-            if not progress.terminal:
-                progress.state = "lost"
-                lost.append(progress.run_id)
-        return lost
 
     @property
     def done_count(self) -> int:
@@ -210,20 +177,11 @@ class FleetState:
 
 
 class FleetMonitor:
-    """Parent-side pump: drains the heartbeat queue, updates the state.
-
-    ``run_many`` calls :meth:`pump` between scheduling waits and
-    :meth:`close` once the pool is done; the sweep CLI passes a
-    ``render`` callback to repaint the dashboard on change.
-    """
+    """Service-side pump: drains the heartbeat queue into the state."""
 
     def __init__(self, queue: Any, state: Optional[FleetState] = None):
         self.queue = queue
         self.state = state if state is not None else FleetState()
-        self._on_update: Optional[Any] = None
-
-    def on_update(self, callback: Any) -> None:
-        self._on_update = callback
 
     def pump(self) -> int:
         """Drain every queued event; returns how many were folded in."""
@@ -235,14 +193,4 @@ class FleetMonitor:
                 break
             self.state.observe(event)
             drained += 1
-        if drained and self._on_update is not None:
-            self._on_update(self.state)
         return drained
-
-    def close(self) -> List[str]:
-        """Final drain + lost-run sweep; returns the lost run ids."""
-        self.pump()
-        lost = self.state.finish()
-        if self._on_update is not None:
-            self._on_update(self.state)
-        return lost

@@ -2,7 +2,7 @@
 
 A *manifest* is the queryable record of one unit of measured work — a
 simulation run, a benchmark invocation, or a profiling session.  Every
-producer (the runner, ``run_many`` workers, the bench scripts,
+producer (the result store, the bench scripts,
 ``tools/profile_run.py``) writes through :func:`write_manifest`, so
 every record shares one envelope::
 
@@ -198,8 +198,8 @@ def write_manifest(path: Union[str, os.PathLike], payload: Dict[str, Any]) -> Pa
     """Validate and atomically write ``payload``; returns the final path.
 
     The single choke point every producer goes through: an invalid
-    document can never land on disk, and concurrent writers (pool
-    workers) can never leave a torn file behind.
+    document can never land on disk, and concurrent writers (processes
+    sharing a store root) can never leave a torn file behind.
     """
     problems = validate_manifest(payload)
     if problems:
@@ -285,7 +285,9 @@ def run_manifest(
 
     ``source`` labels how the result was obtained (``fresh``, ``memo``,
     ``disk``, ``cache``, ``store``).  Engine counters ride along as
-    ``extras.engine_*`` metrics, copied from the result's extras.
+    ``extras.engine_*`` metrics, copied from the result's extras.  The
+    metrics depend on the run alone, never on what else this process
+    did before, so re-emitting a run produces the same document.
 
     The serve-store extensions are all optional and additive:
     ``attempts`` counts crash resubmissions the run survived (surfacing
@@ -307,13 +309,6 @@ def run_manifest(
         metrics[f"thread.{i}.mean_read_latency"] = thread.mean_read_latency
     for key, value in result.extras.items():
         metrics[f"extras.{key}"] = float(value)
-    from ..sim.cache import active_cache  # lazy: avoids import cycle
-
-    disk = active_cache()
-    if disk is not None:
-        metrics["result_cache.hits"] = float(disk.hits)
-        metrics["result_cache.misses"] = float(disk.misses)
-        metrics["result_cache.stores"] = float(disk.stores)
     result_field: Dict[str, Any] = {"digest": result_digest(result)}
     if embed_result:
         from ..sim.cache import result_to_json  # lazy: avoids import cycle

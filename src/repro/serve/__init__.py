@@ -28,7 +28,8 @@ Layout (one concern per module, mirroring ``repro.obs``):
   slowdown/unfairness metrics.
 * :mod:`repro.serve.protocol` — the JSON-lines submit/status/results
   protocol over a unix (or loopback TCP) socket.
-* :mod:`repro.serve.cli` — ``repro-fqms serve|submit|status|results``.
+* :mod:`repro.serve.cli` — ``repro-fqms serve|submit|status|results``,
+  and ``sweep``, which runs one grid through an in-process service.
 
 Determinism contract: simulation *results* never depend on the
 service — a job is executed by the same :func:`repro.sim.parallel.

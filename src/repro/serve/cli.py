@@ -1,10 +1,11 @@
-"""``repro-fqms serve|submit|status|results``: the service front-end.
+"""``repro-fqms serve|submit|status|results|sweep``: the service front-end.
 
 ``serve`` runs the orchestrator in the foreground (address printed and
 written to ``<root>/serve.addr``); ``submit``/``status`` talk to it
 over the JSON-line protocol; ``results`` reads the result store
 *directly*, so queries work with no service running — the store is the
-durable artifact, the service only fills it.
+durable artifact, the service only fills it.  ``sweep`` runs one grid
+through an in-process service and prints its results.
 
 The service root defaults to ``REPRO_SERVE`` (else ``.repro-serve``),
 so a shell exporting the knob can drop ``--root`` everywhere.
@@ -19,6 +20,10 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from .. import env
+from ..obs.fleet import HEARTBEAT_INTERVAL_S
+from ..policy import registered_names
+from ..sim.cache import configure_cache
+from ..sim.parallel import run_label
 from ..stats.report import render_table
 from . import clock
 from .protocol import ProtocolServer, request, results_rows
@@ -45,18 +50,64 @@ def _add_root(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="concurrent worker processes (default REPRO_SERVE_WORKERS or 2)",
+    )
+
+
+def _add_grid(parser: argparse.ArgumentParser, policies: Optional[str]) -> None:
+    """The grid flags ``submit`` and ``sweep`` share.
+
+    ``policies`` is the default policy list; None means every
+    registered policy.
+    """
+    parser.add_argument(
+        "--workload", action="append", default=None, metavar="A,B,...",
+        help="comma-separated benchmark mix; repeat for several mixes "
+        "(default vpr,art)",
+    )
+    parser.add_argument(
+        "--policies", default=policies,
+        help="comma-separated policies (default "
+        f"{policies or 'every registered policy'}; registered: "
+        f"{', '.join(registered_names())})",
+    )
+    parser.add_argument(
+        "--cycles", type=int, default=20000,
+        help="measurement window per run (default %(default)s)",
+    )
+    parser.add_argument(
+        "--warmup", type=int, default=None,
+        help="warmup cycles (default cycles//4)",
+    )
+    parser.add_argument(
+        "--seeds", default="0", help="comma-separated seed list (default 0)",
+    )
+    parser.add_argument(
+        "--shares", action="append", default=None, metavar="P1,P2,...",
+        help="per-thread φ vector to sweep; repeat for a φ grid; "
+        "'none' = equal shares (the default)",
+    )
+
+
 def _parse_share_vector(value: str) -> Optional[List[float]]:
     if value.strip().lower() in ("", "none", "equal"):
         return None
     return [float(x) for x in value.split(",") if x.strip()]
 
 
-def _sweep_from_args(args: argparse.Namespace) -> Dict[str, Any]:
+def _sweep_from_args(args: argparse.Namespace) -> SweepSpec:
+    """The grid ``_add_grid``'s flags describe; ``ValueError`` if it is bad."""
     workloads = [
         [n.strip() for n in mix.split(",") if n.strip()]
         for mix in (args.workload or ["vpr,art"])
     ]
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if args.policies is None:
+        policies = list(registered_names())
+    else:
+        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     share_vectors = (
         [_parse_share_vector(v) for v in args.shares]
@@ -73,7 +124,19 @@ def _sweep_from_args(args: argparse.Namespace) -> Dict[str, Any]:
         share_vectors=tuple(
             tuple(v) if v is not None else None for v in share_vectors
         ),
-    ).to_payload()
+    )
+
+
+def _phi(shares: Optional[Sequence[float]]) -> str:
+    return ",".join(f"{s:g}" for s in shares) if shares else "equal"
+
+
+def _tally(counts: Dict[str, int]) -> str:
+    return (
+        f"{counts['done']} done, {counts['cached']} cached, "
+        f"{counts['retried']} retried, {counts['lost']} lost, "
+        f"{counts['error']} error"
+    )
 
 
 # -- serve ------------------------------------------------------------------
@@ -85,10 +148,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         description="Run the fair-queued experiment service in the foreground.",
     )
     _add_root(parser)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="concurrent worker processes (default REPRO_SERVE_WORKERS or 2)",
-    )
+    _add_workers(parser)
     parser.add_argument(
         "--timeout", type=float, default=None,
         help="per-job wall-clock timeout in seconds "
@@ -113,12 +173,7 @@ async def _serve_until_shutdown(
     finally:
         await server.stop()
         await service.stop(drain=False)
-    counts = service.counts
-    print(
-        f"serve: drained ({counts['done']} done, {counts['cached']} cached, "
-        f"{counts['retried']} retried, {counts['lost']} lost, "
-        f"{counts['error']} error)"
-    )
+    print(f"serve: drained ({_tally(service.counts)})")
     return 0
 
 
@@ -150,31 +205,7 @@ def _submit_parser() -> argparse.ArgumentParser:
         "--share", type=float, default=1.0,
         help="this tenant's fair-queuing share φ (default 1.0)",
     )
-    parser.add_argument(
-        "--workload", action="append", default=None, metavar="A,B,...",
-        help="comma-separated benchmark mix; repeat for several mixes "
-        "(default vpr,art)",
-    )
-    parser.add_argument(
-        "--policies", default="FR-FCFS,FQ-VFTF",
-        help="comma-separated policies (default %(default)s)",
-    )
-    parser.add_argument(
-        "--cycles", type=int, default=20000,
-        help="measurement window per run (default %(default)s)",
-    )
-    parser.add_argument(
-        "--warmup", type=int, default=None,
-        help="warmup cycles (default cycles//4)",
-    )
-    parser.add_argument(
-        "--seeds", default="0", help="comma-separated seed list (default 0)",
-    )
-    parser.add_argument(
-        "--shares", action="append", default=None, metavar="P1,P2,...",
-        help="per-thread φ vector to sweep; repeat for a φ grid; "
-        "'none' = equal shares (the default)",
-    )
+    _add_grid(parser, policies="FR-FCFS,FQ-VFTF")
     parser.add_argument(
         "--wait", action="store_true",
         help="poll the service until every submitted job is terminal",
@@ -197,7 +228,7 @@ def _cmd_submit(argv: Sequence[str]) -> int:
                 "op": "submit",
                 "tenant": args.tenant,
                 "share": args.share,
-                "sweep": sweep,
+                "sweep": sweep.to_payload(),
             },
         )
     except (OSError, ValueError) as exc:
@@ -380,11 +411,7 @@ def _cmd_results(argv: Sequence[str]) -> int:
                     row["fingerprint"][:16],
                     "+".join(row["workload"]),
                     row["policy"],
-                    (
-                        ",".join(f"{s:g}" for s in row["shares"])
-                        if row["shares"]
-                        else "equal"
-                    ),
+                    _phi(row["shares"]),
                     row["seed"],
                     row["source"],
                     row["attempts"],
@@ -406,6 +433,110 @@ def _cmd_results(argv: Sequence[str]) -> int:
     return 0
 
 
+# -- sweep ------------------------------------------------------------------
+
+#: The one tenant a ``sweep`` submits its grid as.
+SWEEP_TENANT = "sweep"
+
+
+def _sweep_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-fqms sweep",
+        description=(
+            "Run a sweep grid through an in-process experiment service, "
+            "record every run in its result store, and print a summary."
+        ),
+    )
+    _add_root(parser)
+    _add_grid(parser, policies=None)
+    _add_workers(parser)
+    parser.add_argument(
+        "--progress", action="store_true",
+        help="show the service's job dashboard: repainted live on a "
+        "terminal, one final snapshot otherwise",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the persistent result cache for this invocation "
+        "(runs already in the root's store are still served from it)",
+    )
+    return parser
+
+
+async def _repaint_until_drained(service: ExperimentService, stream: Any) -> None:
+    """Repaint the service's dashboard in place until every job is terminal."""
+    drained = asyncio.ensure_future(service.drain())
+    lines = 0
+    while True:
+        finished = drained.done()
+        block = service.status()["dashboard"]
+        if lines:
+            # Cursor up over the previous block, clear to end of screen.
+            stream.write(f"\x1b[{lines}F\x1b[J")
+        stream.write(block + "\n")
+        stream.flush()
+        lines = block.count("\n") + 1
+        if finished:
+            return
+        await asyncio.wait({drained}, timeout=HEARTBEAT_INTERVAL_S)
+
+
+async def _run_sweep(
+    service: ExperimentService, sweep: SweepSpec, progress: bool
+) -> None:
+    await service.start()
+    try:
+        service.submit_sweep(SWEEP_TENANT, sweep)
+        if progress and sys.stdout.isatty():
+            await _repaint_until_drained(service, sys.stdout)
+        else:
+            await service.drain()
+            if progress:
+                print(service.status()["dashboard"])
+    finally:
+        await service.stop(drain=False)
+
+
+def _cmd_sweep(argv: Sequence[str]) -> int:
+    args = _sweep_parser().parse_args(list(argv))
+    root = args.root if args.root is not None else default_root()
+    try:
+        sweep = _sweep_from_args(args)
+        service = ExperimentService(root, workers=args.workers)
+    except ValueError as exc:
+        print(f"sweep: {exc}")
+        return 2
+    configure_cache(enabled=not args.no_cache)
+    asyncio.run(_run_sweep(service, sweep, args.progress))
+    store = service.store
+    rows = []
+    for spec in sweep.expand():
+        result = store.get_result(spec)
+        if result is not None:
+            rows.append((
+                "+".join(spec.names), spec.policy, _phi(spec.shares),
+                spec.seed, result.cycles,
+                ", ".join(f"{t.ipc:.3f}" for t in result.threads),
+            ))
+    print(
+        render_table(
+            ["mix", "policy", "phi", "seed", "cycles", "ipc/thread"], rows
+        )
+    )
+    counts = service.counts
+    print(
+        f"sweep: {counts['submitted']} runs ({_tally(counts)}); "
+        f"recorded in {store.root}"
+    )
+    for job in service.jobs.values():
+        if job.state in ("lost", "error"):
+            detail = (job.error or "").strip().splitlines()[-1:]
+            print(f"sweep: run {run_label(job.spec)} {job.state}: {''.join(detail)}")
+    for problem in store.problems:
+        print(f"sweep: store problem: {problem}")
+    return 1 if counts["lost"] or counts["error"] else 0
+
+
 # -- dispatch ---------------------------------------------------------------
 
 _COMMANDS = {
@@ -413,6 +544,7 @@ _COMMANDS = {
     "submit": _cmd_submit,
     "status": _cmd_status,
     "results": _cmd_results,
+    "sweep": _cmd_sweep,
 }
 
 

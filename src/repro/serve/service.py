@@ -9,18 +9,20 @@ and is detected by the parent as :class:`~repro.sim.retry.
 WorkerCrashError`, classified and resubmitted with the same bounded
 :class:`~repro.sim.retry.RetryPolicy` backoff ``run_many`` uses.
 
-Caching is layered exactly like ``run_many``: memo → disk cache →
-result store, checked at submit *and* again at dispatch (so duplicate
-jobs queued concurrently — two tenants submitting overlapping grids —
-collapse to one simulation and the rest serve as ``cached``).  Every
-completed result lands in all three layers, which is what makes a
-resubmitted sweep 100% cache-served.
+Caching goes through ``run_many``'s own lookup chain
+(:func:`repro.sim.runner.lookup`: memo → disk cache → result store),
+checked at submit *and* again at dispatch (so duplicate jobs queued
+concurrently — two tenants submitting overlapping grids — collapse to
+one simulation and the rest serve as ``cached``).  Every completed
+result lands in all three layers, which is what makes a resubmitted
+sweep 100% cache-served.
 
-Live progress reuses the PR 9 fleet machinery verbatim: workers
-heartbeat simulated-cycle progress over a Manager queue into a
+Live progress uses :mod:`repro.obs.fleet`: workers heartbeat
+simulated-cycle progress over a Manager queue into a
 :class:`~repro.obs.fleet.FleetState`, whose render *is* the
-``repro-fqms status`` dashboard.  Per-tenant busy-seconds, MISE-style
-slowdowns, and the unfairness headline flow into a
+``repro-fqms status`` dashboard and the ``repro-fqms sweep --progress``
+view.  Per-tenant busy-seconds, MISE-style slowdowns, and the
+unfairness headline flow into a
 :class:`~repro.obs.registry.MetricsRegistry` — the same metrics
 surface the simulator's own observability uses.
 """
@@ -34,8 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from .. import env
 from ..obs import fleet
 from ..obs.registry import MetricsRegistry
-from ..sim import cache as result_cache
-from ..sim import parallel
+from ..sim import parallel, runner
 from ..sim.retry import RetryPolicy, WorkerCrashError
 from ..sim.system import CmpSystem, SimResult
 from . import clock
@@ -76,12 +77,11 @@ def _child_main(
     :func:`repro.sim.parallel.execute_exchanging`).  A worker that dies
     (or is killed) before sending anything is the crash signature the
     parent classifies as retryable; a simulation exception travels back
-    as a deterministic ``err`` and is *not* retried.
+    as a deterministic ``err`` and is *not* retried.  ``queue`` carries
+    the run's progress heartbeats (None: no heartbeats).
     """
-    if queue is not None:
-        fleet.init_worker(queue)
     try:
-        result = parallel.execute_exchanging(spec, images)
+        result = parallel.execute_exchanging(spec, images, queue)
     except BaseException:
         try:
             conn.send(("err", traceback.format_exc()))
@@ -298,13 +298,18 @@ class ExperimentService:
     def submit_sweep(
         self, tenant: str, sweep: SweepSpec, share: float = 1.0
     ) -> Dict[str, Any]:
-        """Expand, dedupe, and enqueue one sweep; returns the ticket."""
-        self.queue.tenant(tenant, weight=share)
+        """Expand, dedupe, and enqueue one sweep; returns the ticket.
+
+        ``sweep`` validated its whole grid when it was built, and a bad
+        ``share`` raises before any run is queued, so a rejected
+        submission leaves nothing behind.
+        """
         specs = sweep.expand()
+        self.queue.tenant(tenant, weight=share)
         queued: List[int] = []
         cached = 0
         for spec in specs:
-            hit = self._lookup(spec)
+            hit = runner.lookup(spec, self.store)
             if hit is not None:
                 self.store.record(spec, hit, source="cache", tenant=tenant)
                 self._observe(parallel.run_label(spec), "cached", spec)
@@ -315,11 +320,11 @@ class ExperimentService:
             self.jobs[job.job_id] = job
             self.state.expect(self._run_id(job))
             self._outstanding += 1
+            if self._idle is not None:
+                self._idle.clear()
             queued.append(job.job_id)
         self.counts["submitted"] += len(specs)
         self.counts["cached"] += cached
-        if queued and self._idle is not None:
-            self._idle.clear()
         if queued:
             self._wake_scheduler()
         return {
@@ -330,24 +335,6 @@ class ExperimentService:
             "cached": cached,
             "job_ids": queued,
         }
-
-    def _lookup(self, spec: parallel.RunSpec) -> Optional[SimResult]:
-        """Memo → disk → store, write-back on the colder hits."""
-        from ..sim import runner
-
-        hit = runner.memo_get(spec)
-        if hit is not None:
-            return hit
-        disk = result_cache.active_cache()
-        if disk is not None:
-            hit = disk.get(spec.fingerprint())
-        if hit is None:
-            hit = self.store.get_result(spec)
-            if hit is not None and disk is not None:
-                disk.put(spec.fingerprint(), hit)
-        if hit is not None:
-            runner.memo_put(spec, hit)
-        return hit
 
     # -- scheduling --------------------------------------------------------
 
@@ -400,7 +387,7 @@ class ExperimentService:
         run_id = self._run_id(job)
         # Dispatch-time dedupe: a duplicate queued while its twin ran
         # is served from the caches the twin just filled.
-        hit = self._lookup(job.spec)
+        hit = runner.lookup(job.spec, self.store)
         if hit is not None:
             self.store.record(
                 job.spec, hit, source="cache",
@@ -467,12 +454,7 @@ class ExperimentService:
         self._wake_scheduler()
 
     def _record_success(self, job: Job, result: SimResult) -> None:
-        from ..sim import runner
-
-        runner.memo_put(job.spec, result)
-        disk = result_cache.active_cache()
-        if disk is not None:
-            disk.put(job.spec.fingerprint(), result)
+        runner.remember(job.spec, result)
         self.store.record(
             job.spec, result, source="fresh",
             tenant=job.tenant, attempts=job.attempts - 1,

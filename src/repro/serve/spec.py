@@ -33,9 +33,11 @@ class SweepSpec:
     ``workloads`` is a tuple of benchmark mixes (each a tuple of
     registered profile names); ``share_vectors`` is a tuple of φ
     vectors to sweep — ``None`` entries mean equal shares (the
-    historical fingerprint).  Every non-``None`` share vector must
-    match the arity of every workload mix, checked at construction so
-    a bad grid fails at submit time, not deep inside a worker.
+    historical fingerprint).  The whole grid is checked at
+    construction — every share vector against every mix's arity, and
+    every run's mix, benchmark names and policy through
+    :class:`~repro.sim.parallel.RunSpec` — so a bad grid fails whole at
+    submit time, before any of it is queued.
     """
 
     workloads: Tuple[Tuple[str, ...], ...]
@@ -64,6 +66,7 @@ class SweepSpec:
                         f"share vector {shares} has {len(shares)} entries "
                         f"but mix {'+'.join(mix)} has {len(mix)} threads"
                     )
+        self.expand()
 
     def expand(self) -> List[RunSpec]:
         """The grid as a deduplicated, deterministically ordered spec list."""

@@ -154,9 +154,6 @@ class ResultCache:
         self.root = Path(root).expanduser()
         self.hits = 0
         self.misses = 0
-        #: Completed writes (skips best-effort failures); harvested
-        #: into run manifests alongside hits/misses.
-        self.stores = 0
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -194,7 +191,6 @@ class ResultCache:
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)
             os.replace(tmp_name, path)
-            self.stores += 1
         except OSError:
             if tmp_name is not None:
                 try:

@@ -10,9 +10,9 @@ run (solo baseline or co-scheduled group) without holding any live
 simulator state, so it is hashable (dedup), picklable (process pools)
 and fingerprintable (the disk cache).  :func:`run_many` executes a
 batch of specs with a ``ProcessPoolExecutor`` and feeds every result
-back into both cache layers, so subsequent :func:`~repro.sim.runner.
-run_solo` / :func:`~repro.sim.runner.run_group` calls are pure memo
-hits.
+back through :func:`repro.sim.runner.remember`, so subsequent
+:func:`~repro.sim.runner.run_solo` / :func:`~repro.sim.runner.run_group`
+calls are pure memo hits.
 
 Determinism: workload RNGs are seeded from (name, seed, base address)
 only, so a child process simulates the exact same machine as the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import env
-from ..obs import fleet, manifest_dir
+from ..obs import fleet
 from ..policy import BASELINE_POLICY, canonical
 from ..workloads.spec2000 import profile as lookup_profile
 from ..workloads.synthetic import BenchmarkProfile
@@ -93,7 +93,15 @@ class RunSpec:
         # Canonicalize through the registry: a typo fails here with the
         # full list of registered names (not deep inside a worker), and
         # spelling variants ("fq_vftf" vs "FQ-VFTF") dedup to one run.
+        # Benchmark names fail here for the same reason.
         object.__setattr__(self, "policy", canonical(self.policy))
+        if not self.names:
+            raise ValueError("a run needs at least one benchmark")
+        for name in self.names:
+            try:
+                lookup_profile(name)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
 
     def build(self) -> Tuple[SystemConfig, List[BenchmarkProfile]]:
         """Materialize the (config, profiles) pair this spec describes."""
@@ -148,39 +156,47 @@ def group_spec(
 
 
 def run_label(spec: RunSpec) -> str:
-    """Human-readable fleet-dashboard id for ``spec``."""
-    label = f"{'+'.join(spec.names)}:{spec.policy}@s{spec.seed}"
+    """Human-readable fleet-dashboard id for ``spec``.
+
+    Every field that changes the run is in it, the window (``c``
+    cycles, ``w`` warmup) included, so the dashboard never folds two
+    runs into one row.  Scale and shares print to six significant
+    digits.
+    """
+    label = (
+        f"{'+'.join(spec.names)}:{spec.policy}@s{spec.seed}"
+        f"/c{spec.cycles}w{spec.warmup}"
+    )
+    if spec.kind == "solo":
+        label += f"/solo{spec.scale:g}x"
     if spec.shares is not None:
         label += "/phi" + ",".join(f"{s:g}" for s in spec.shares)
     return label
 
 
-def execute_spec(spec: RunSpec) -> SimResult:
-    """Simulate ``spec`` from scratch (no cache layers consulted)."""
+def execute_spec(spec: RunSpec, heartbeats: Any = None) -> SimResult:
+    """Simulate ``spec`` afresh (no cache layers consulted).
+
+    ``heartbeats`` is a queue for :class:`repro.obs.fleet.WorkerHeartbeat`
+    progress events, or None.  The heartbeat is a side thread sampling
+    ``system.now``; the simulation itself is untouched (chunking the run
+    to emit between chunks would change the engine_* extras and fork
+    cached results — see repro.obs.fleet).
+    """
     config, profiles = spec.build()
     system = CmpSystem(config, profiles)
-    # Progress heartbeats ride a side thread sampling ``system.now``;
-    # the simulation itself is untouched (chunking the run to emit
-    # between chunks would change the engine_* extras and fork cached
-    # results — see repro.obs.fleet).
-    queue = fleet.worker_queue()
-    heartbeat = None
-    if queue is not None:
-        heartbeat = fleet.WorkerHeartbeat(
-            queue, run_label(spec), spec.warmup + spec.cycles
-        )
-        heartbeat.start(system)
+    if heartbeats is None:
+        return system.run(spec.cycles, warmup=spec.warmup)
+    heartbeat = fleet.WorkerHeartbeat(
+        heartbeats, run_label(spec), spec.warmup + spec.cycles
+    )
+    heartbeat.start(system)
     try:
         result = system.run(spec.cycles, warmup=spec.warmup)
     except BaseException:
-        if heartbeat is not None:
-            heartbeat.finish("error")
+        heartbeat.finish("error")
         raise
-    if heartbeat is not None:
-        heartbeat.finish("done")
-    out_dir = manifest_dir()
-    if out_dir:
-        _write_run_manifest(out_dir, spec, result)
+    heartbeat.finish("done")
     return result
 
 
@@ -190,7 +206,7 @@ def spec_images(spec: RunSpec) -> Dict[Tuple, bytes]:
 
 
 def execute_exchanging(
-    spec: RunSpec, images: Dict[Tuple, bytes]
+    spec: RunSpec, images: Dict[Tuple, bytes], heartbeats: Any = None
 ) -> Tuple[SimResult, Dict[Tuple, bytes]]:
     """Worker side of the warm-L2 image exchange: simulate ``spec``.
 
@@ -200,42 +216,22 @@ def execute_exchanging(
     that this process did not hold before — for the parent to adopt and
     hand to later workers.  Images are pickled bytes and travel as
     arguments and results, never through fork inheritance.
+    ``heartbeats`` goes to :func:`execute_spec`.
     """
     CmpSystem.adopt_images(images)
     keys = CmpSystem.prewarm_keys(*spec.build())
     held = CmpSystem.prewarm_images(keys)
-    result = execute_spec(spec)
+    result = execute_spec(spec, heartbeats)
     built = [key for key in keys if key not in held]
     return result, CmpSystem.prewarm_images(built)
 
 
-def _write_run_manifest(out_dir: str, spec: RunSpec, result) -> None:
-    """Best-effort per-run manifest (REPRO_OBS_MANIFEST): never fatal."""
-    from ..obs.manifest import emit_run_manifest
-
-    try:
-        emit_run_manifest(
-            out_dir,
-            fingerprint=spec.fingerprint(),
-            policy=spec.policy,
-            workload=spec.names,
-            cycles=spec.cycles,
-            warmup=spec.warmup,
-            seed=spec.seed,
-            result=result,
-            source="fresh",
-        )
-    except OSError:
-        pass
-
-
 def default_jobs() -> int:
-    """Worker count when ``jobs`` is unspecified (``REPRO_JOBS``, else 1)."""
-    try:
-        jobs = int(env.text("REPRO_JOBS", "1"))
-    except ValueError:
-        return 1
-    return max(1, jobs)
+    """Worker count when ``jobs`` is unspecified (``REPRO_JOBS``, else 1).
+
+    A non-integer or non-positive ``REPRO_JOBS`` raises ``ValueError``.
+    """
+    return env.positive_int("REPRO_JOBS", 1)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -249,25 +245,18 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def run_many(
     specs: Iterable[RunSpec],
     jobs: Optional[int] = None,
-    monitor: Optional["fleet.FleetMonitor"] = None,
     store: Optional[Any] = None,
 ) -> Dict[RunSpec, SimResult]:
     """Execute ``specs`` (deduplicated), returning spec → result.
 
-    Cache discipline: the in-process memo is consulted first, then the
-    disk cache, then ``store`` (a :class:`repro.serve.store.ResultStore`
-    or anything with its ``get_result``/``record`` surface); only
-    genuine misses are simulated — in this process when ``jobs``
-    resolves to 1, otherwise fanned out across a process pool.  Every
-    result (loaded or fresh) is written back to the memo, fresh results
-    to the disk cache, and — when a store is given — every spec's
-    result is recorded into the store, by the parent process.
-
-    ``monitor`` (a :class:`repro.obs.fleet.FleetMonitor`) streams live
-    progress: cache-served specs report ``cached`` immediately, and
-    simulated specs heartbeat from their workers through the monitor's
-    queue.  Purely observational — results are identical with or
-    without it.
+    Cache discipline: each spec is looked up through
+    :func:`repro.sim.runner.lookup` (memo → disk cache → ``store``, a
+    :class:`repro.serve.store.ResultStore` or anything with its
+    ``get_result``/``record`` surface); only genuine misses are
+    simulated — in this process when ``jobs`` resolves to 1, otherwise
+    fanned out across a process pool — and written back through
+    :func:`repro.sim.runner.remember`.  When a store is given, every
+    spec's result is recorded into it, by the parent process.
 
     Robustness: a worker process that dies mid-run (the stdlib pool
     signals ``BrokenProcessPool``) does not lose its specs — the
@@ -280,46 +269,23 @@ def run_many(
 
     jobs = resolve_jobs(jobs)
     ordered = list(dict.fromkeys(specs))
-    disk = result_cache.active_cache()
     results: Dict[RunSpec, SimResult] = {}
     misses: List[RunSpec] = []
     for spec in ordered:
-        source = "memo"
-        hit = runner.memo_get(spec)
-        if hit is None and disk is not None:
-            hit = disk.get(spec.fingerprint())
-            source = "disk"
-        if hit is None and store is not None:
-            hit = store.get_result(spec)
-            source = "store"
-        if hit is not None:
-            runner.memo_put(spec, hit)
-            if source == "store" and disk is not None:
-                disk.put(spec.fingerprint(), hit)
-            results[spec] = hit
-            if monitor is not None:
-                # Through the queue (not the state directly) so the
-                # monitor's update callback fires on the next pump.
-                total = spec.warmup + spec.cycles
-                fleet.post(
-                    monitor.queue,
-                    fleet.heartbeat_event(run_label(spec), "cached", total, total),
-                )
-        else:
+        hit = runner.lookup(spec, store)
+        if hit is None:
             misses.append(spec)
-    if monitor is not None:
-        monitor.pump()
+        else:
+            results[spec] = hit
 
     if misses:
         if jobs == 1 or len(misses) == 1:
-            fresh = _inline_execute(misses, monitor)
+            fresh = _inline_execute(misses)
         else:
-            fresh = _pool_execute(misses, jobs, monitor)
+            fresh = _pool_execute(misses, jobs)
 
         for spec, result in fresh:
-            runner.memo_put(spec, result)
-            if disk is not None:
-                disk.put(spec.fingerprint(), result)
+            runner.remember(spec, result)
             results[spec] = result
 
     if store is not None:
@@ -333,27 +299,14 @@ def run_many(
     return results
 
 
-def _inline_execute(
-    specs: Sequence[RunSpec], monitor: Optional["fleet.FleetMonitor"]
-) -> List[Tuple[RunSpec, SimResult]]:
-    """Execute ``specs`` in this process, heartbeating when monitored."""
-    if monitor is None:
-        return [(spec, execute_spec(spec)) for spec in specs]
-    fleet.init_worker(monitor.queue)
-    try:
-        done = []
-        for spec in specs:
-            done.append((spec, execute_spec(spec)))
-            monitor.pump()
-        return done
-    finally:
-        fleet.init_worker(None)
+def _inline_execute(specs: Sequence[RunSpec]) -> List[Tuple[RunSpec, SimResult]]:
+    """Execute ``specs`` in this process."""
+    return [(spec, execute_spec(spec)) for spec in specs]
 
 
 def _pool_execute(
     specs: Sequence[RunSpec],
     jobs: int,
-    monitor: Optional["fleet.FleetMonitor"] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> List[Tuple[RunSpec, SimResult]]:
     """Fan ``specs`` out over a process pool; survive crashed workers.
@@ -361,8 +314,7 @@ def _pool_execute(
     A worker killed mid-run breaks the whole stdlib pool: its own spec
     and every still-pending spec surface as ``BrokenProcessPool``.  The
     completed results of the round are kept, the unfinished remainder
-    is resubmitted to a *fresh* pool after a deterministic backoff
-    (``retried`` heartbeats let dashboards show the resubmission), and
+    is resubmitted to a *fresh* pool after a deterministic backoff, and
     once the :class:`~repro.sim.retry.RetryPolicy` budget is exhausted
     the stragglers run inline — so a deterministic crasher fails in the
     parent with the real error instead of looping, and a transient
@@ -378,9 +330,9 @@ def _pool_execute(
     attempts = 0
     while remaining:
         try:
-            finished, crashed = _pool_round(remaining, jobs, monitor)
+            finished, crashed = _pool_round(remaining, jobs)
         except (OSError, PermissionError, NotImplementedError):
-            done.extend(_inline_execute(remaining, monitor))
+            done.extend(_inline_execute(remaining))
             break
         done.extend(finished)
         if not crashed:
@@ -389,16 +341,8 @@ def _pool_execute(
         if not retry_policy.should_retry(attempts):
             # Budget exhausted: last resort is the parent's own process,
             # where a genuine per-spec fault raises the real exception.
-            done.extend(_inline_execute(crashed, monitor))
+            done.extend(_inline_execute(crashed))
             break
-        if monitor is not None:
-            for spec in crashed:
-                total = spec.warmup + spec.cycles
-                fleet.post(
-                    monitor.queue,
-                    fleet.heartbeat_event(run_label(spec), "retried", 0, total),
-                )
-            monitor.pump()
         time.sleep(retry_policy.delay_s(attempts))
         remaining = crashed
     # Report in submission order so downstream writes are deterministic
@@ -409,9 +353,7 @@ def _pool_execute(
 
 
 def _pool_round(
-    specs: Sequence[RunSpec],
-    jobs: int,
-    monitor: Optional["fleet.FleetMonitor"],
+    specs: Sequence[RunSpec], jobs: int
 ) -> Tuple[List[Tuple[RunSpec, SimResult]], List[RunSpec]]:
     """One pool generation: (completed results, crash-orphaned specs).
 
@@ -421,14 +363,7 @@ def _pool_round(
     errors (handled by the caller's inline fallback) and any genuine
     exception a simulation itself raised.
     """
-    initializer = fleet.init_worker if monitor is not None else None
-    initargs = (monitor.queue,) if monitor is not None else ()
-    timeout = fleet.HEARTBEAT_INTERVAL_S if monitor is not None else None
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(specs)),
-        initializer=initializer,
-        initargs=initargs,
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
         futures = {
             pool.submit(execute_exchanging, spec, spec_images(spec)): spec
             for spec in specs
@@ -438,11 +373,7 @@ def _pool_round(
         pending = set(futures)
         broken = False
         while pending and not broken:
-            ready, pending = wait(
-                pending, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            if monitor is not None:
-                monitor.pump()
+            ready, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in ready:
                 exc = future.exception()
                 if exc is None:

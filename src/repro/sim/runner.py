@@ -10,6 +10,10 @@ cache of :mod:`repro.sim.cache`, so repeated figure regenerations and
 Batch sweeps go through :func:`repro.sim.parallel.run_many`, which
 fans cache misses out across cores and seeds the same memo.
 
+:func:`lookup` and :func:`remember` are the one read and write path
+over those layers (plus an optional result store); ``run_many`` and
+the experiment service use them too.
+
 Run lengths default to a statistically stable but laptop-friendly
 window; set ``REPRO_SIM_CYCLES`` to lengthen every run proportionally
 for a higher-fidelity regeneration.
@@ -18,11 +22,10 @@ for a higher-fidelity regeneration.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .. import env
 from ..core.shares import equal_shares
-from ..obs import manifest_dir
 from ..policy import BASELINE_POLICY
 from ..workloads.spec2000 import profile as lookup_profile
 from ..workloads.synthetic import BenchmarkProfile
@@ -86,21 +89,42 @@ def clear_solo_cache() -> None:
     _memo.clear()
 
 
-def _fetch(spec: RunSpec) -> SimResult:
-    """Resolve ``spec`` through memo → disk cache → fresh simulation."""
+def lookup(spec: RunSpec, store: Optional[Any] = None) -> Optional[SimResult]:
+    """The known result for ``spec``: memo → disk cache → ``store``.
+
+    ``store`` is anything with :class:`repro.serve.store.ResultStore`'s
+    ``get_result``.  A hit in a colder layer is written back to every
+    faster one; a miss in all of them returns None.
+    """
     result = memo_get(spec)
     if result is not None:
         return result
     disk = result_cache.active_cache()
     if disk is not None:
-        key = spec.fingerprint()
-        result = disk.get(key)
-        if result is None:
-            result = execute_spec(spec)
-            disk.put(key, result)
-    else:
-        result = execute_spec(spec)
+        result = disk.get(spec.fingerprint())
+    if result is None and store is not None:
+        result = store.get_result(spec)
+        if result is not None and disk is not None:
+            disk.put(spec.fingerprint(), result)
+    if result is not None:
+        memo_put(spec, result)
+    return result
+
+
+def remember(spec: RunSpec, result: SimResult) -> None:
+    """Write a freshly simulated ``result`` to the memo and the disk cache."""
     memo_put(spec, result)
+    disk = result_cache.active_cache()
+    if disk is not None:
+        disk.put(spec.fingerprint(), result)
+
+
+def _fetch(spec: RunSpec) -> SimResult:
+    """Resolve ``spec`` through :func:`lookup`, else simulate it fresh."""
+    result = lookup(spec)
+    if result is None:
+        result = execute_spec(spec)
+        remember(spec, result)
     return result
 
 
@@ -131,29 +155,7 @@ def run_workload(
     )
     if warmup is None:
         warmup = default_warmup(cycles)
-    result = CmpSystem(config, profiles).run(cycles, warmup=warmup)
-    out_dir = manifest_dir()
-    if out_dir:
-        # Same best-effort per-run manifest the batch workers emit.
-        from ..obs.manifest import emit_run_manifest
-
-        try:
-            emit_run_manifest(
-                out_dir,
-                fingerprint=result_cache.fingerprint(
-                    config, list(profiles), cycles, warmup, seed
-                ),
-                policy=config.policy,
-                workload=[p.name for p in profiles],
-                cycles=cycles,
-                warmup=warmup,
-                seed=seed,
-                result=result,
-                source="fresh",
-            )
-        except OSError:
-            pass
-    return result
+    return CmpSystem(config, profiles).run(cycles, warmup=warmup)
 
 
 def _registered(profile: BenchmarkProfile) -> bool:

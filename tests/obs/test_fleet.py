@@ -1,4 +1,4 @@
-"""Fleet heartbeats: worker sampling, state folding, truncated streams."""
+"""Fleet heartbeats: worker sampling, state folding, the service-side pump."""
 
 import queue
 
@@ -42,19 +42,6 @@ class TestFleetState:
         assert state.runs["r1"].state == "done"
         assert state.runs["r1"].cycle == 2000
 
-    def test_finish_marks_truncated_streams_lost(self):
-        # A worker crash truncates the stream mid-"running"; close must
-        # surface it instead of leaving the run eternally in flight.
-        state = FleetState()
-        state.observe(heartbeat_event("crashed", "running", 100, 2000))
-        state.observe(heartbeat_event("finished", "done", 2000, 2000))
-        state.expect("never-started")
-        lost = state.finish()
-        assert sorted(lost) == ["crashed", "never-started"]
-        assert state.runs["crashed"].state == "lost"
-        assert state.runs["finished"].state == "done"
-        assert state.done_count == 3
-
     def test_render_includes_every_run(self):
         state = FleetState()
         state.observe(heartbeat_event("r1", "running", 1000, 2000))
@@ -66,23 +53,15 @@ class TestFleetState:
 
 
 class TestMonitor:
-    def test_pump_drains_and_fires_callback_once(self):
+    def test_pump_drains_the_queue_into_the_state(self):
         q = queue.Queue()
         monitor = FleetMonitor(q)
-        seen = []
-        monitor.on_update(lambda state: seen.append(state.done_count))
         q.put(heartbeat_event("r1", "running", 10, 100))
         q.put(heartbeat_event("r1", "done", 100, 100))
         assert monitor.pump() == 2
-        assert seen == [1]
-        assert monitor.pump() == 0  # empty queue: no callback
-        assert seen == [1]
-
-    def test_close_reports_lost_runs(self):
-        q = queue.Queue()
-        monitor = FleetMonitor(q)
-        q.put(heartbeat_event("r1", "running", 10, 100))
-        assert monitor.close() == ["r1"]
+        assert monitor.state.runs["r1"].state == "done"
+        assert monitor.state.done_count == 1
+        assert monitor.pump() == 0  # empty queue
 
     def test_post_swallows_dead_queue(self):
         class _Dead:
@@ -125,12 +104,3 @@ class TestWorkerHeartbeat:
             except queue.Empty:
                 break
         assert last["state"] == "error"
-
-    def test_worker_queue_roundtrip(self):
-        q = queue.Queue()
-        fleet.init_worker(q)
-        try:
-            assert fleet.worker_queue() is q
-        finally:
-            fleet.init_worker(None)
-        assert fleet.worker_queue() is None

@@ -254,6 +254,11 @@ class TestCliDispatch:
         ])
         assert code == 2
         assert "threads" in capsys.readouterr().out
+        code = serve_cli.main([
+            "submit", "--root", str(tmp_path), "--workload", ",",
+        ])
+        assert code == 2
+        assert "at least one benchmark" in capsys.readouterr().out
 
     def test_default_root_honors_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "/tmp/custom-root")

@@ -6,7 +6,10 @@ same style of closed-form check the core VTMS tests use.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.netfq import GpsServer, Packet
 from repro.serve.queue import FairJobQueue, TenantAccount
 from repro.sim.parallel import group_spec
 
@@ -152,3 +155,44 @@ class TestFairnessMetrics:
         metrics = queue.fairness()
         assert "tenant.pending.slowdown" not in metrics
         assert metrics["tenant.ran.fair_share"] == 1.0
+
+
+class TestGpsOracle:
+    """The fluid GPS server of :mod:`repro.core.netfq` as the oracle.
+
+    With every job queued before the first dispatch and one job served
+    at a time, fair queuing's classic bound applies: each job completes
+    no later than its GPS fluid finish time plus the largest job cost.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shares=st.lists(
+            st.sampled_from([0.05, 0.2, 0.5, 1.0, 3.0, 0.95]),
+            min_size=2, max_size=4,
+        ),
+        jobs=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 1000)),
+            min_size=2, max_size=30,
+        ),
+    )
+    def test_no_job_completes_later_than_gps_plus_one_job(self, shares, jobs):
+        jobs = [(tenant % len(shares), cost) for tenant, cost in jobs]
+        queue = FairJobQueue()
+        for tenant, share in enumerate(shares):
+            queue.tenant(str(tenant), weight=share)
+        submitted = [queue.submit(str(tenant), SPEC, cost) for tenant, cost in jobs]
+        fluid = GpsServer(shares).finish_times(
+            [Packet(tenant, cost, 0.0) for tenant, cost in jobs]
+        )
+        deadline = {
+            job.job_id: finish + max(cost for _, cost in jobs)
+            for job, finish in zip(submitted, fluid)
+        }
+        now = 0.0
+        while True:
+            job = queue.pop()
+            if job is None:
+                break
+            now += job.cost
+            assert now <= deadline[job.job_id] * (1 + 1e-9)

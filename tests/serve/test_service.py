@@ -130,6 +130,52 @@ class TestSubmitAndDrain:
         assert "unfairness" in status["fairness"]
         assert isinstance(status["dashboard"], str)
 
+    def test_runs_differing_only_in_window_get_their_own_rows(
+        self, tmp_path, tiny_result
+    ):
+        service = ExperimentService(
+            tmp_path, workers=2, retry_policy=NO_RETRY,
+            executor=InstantExecutor(tiny_result),
+        )
+
+        def window(cycles):
+            return SweepSpec(
+                workloads=(("vpr", "art"),), policies=("FQ-VFTF",),
+                cycles=cycles, warmup=cycles // 4,
+            )
+
+        run(serve(
+            service, ("alice", window(800), 1.0), ("bob", window(1600), 1.0),
+        ))
+        assert service.counts["done"] == 2
+        assert len(service.store) == 2
+        assert "fleet: 2/2 runs finished" in service.status()["dashboard"]
+
+    @pytest.mark.parametrize(
+        "bad_mix, message", [(("vpr", "nosuch"), "nosuch"), ((), "at least one")]
+    )
+    def test_bad_grid_queues_nothing(self, tmp_path, tiny_result, bad_mix, message):
+        service = ExperimentService(
+            tmp_path, workers=1, retry_policy=NO_RETRY,
+            executor=InstantExecutor(tiny_result),
+        )
+
+        async def scenario():
+            await service.start()
+            with pytest.raises(ValueError, match=message):
+                service.submit_sweep("alice", SweepSpec(
+                    workloads=(("vpr", "art"), bad_mix), policies=("FR-FCFS",),
+                    cycles=600, warmup=150,
+                ))
+            await asyncio.wait_for(service.drain(), timeout=5)
+            await service.stop()
+
+        run(scenario())
+        assert len(service.queue) == 0
+        assert service.jobs == {}
+        assert service.executor.executions == 0
+        assert len(service.store) == 0
+
 
 class TestRetrySemantics:
     def test_crashed_jobs_are_retried_then_done(self, tmp_path, tiny_result):

@@ -71,6 +71,27 @@ class TestRoundTrip:
         store.record(spec_for(), tiny_result)
         assert store.get_result(spec_for(seed=7)) is None
 
+    def test_recorded_metrics_depend_on_the_run_alone(self, tmp_path):
+        from repro.sim import runner
+        from repro.sim.cache import configure_cache
+        from repro.sim.parallel import run_many
+
+        target = group_spec(("vpr", "art"), "FQ-VFTF", 1000, 250, 0)
+        other = group_spec(("vpr", "art"), "FR-FCFS", 1000, 250, 0)
+        stores = []
+        for label, history in (("alone", []), ("after", [other])):
+            runner.clear_solo_cache()
+            configure_cache(cache_dir=tmp_path / label / "cache")
+            store = ResultStore(tmp_path / label / "store")
+            for spec in history:
+                run_many([spec], jobs=1)
+            run_many([target], jobs=1, store=store)
+            stores.append(store)
+        alone, after = (
+            store.metrics(store.query(policy="FQ-VFTF")[0]) for store in stores
+        )
+        assert alone == after
+
     def test_entry_json_round_trip(self):
         entry = StoreEntry(
             fingerprint="ab" * 32, file="run-x.json", policy="FQ-VFTF",

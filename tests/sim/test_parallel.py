@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.pairs import run_pairs
 from repro.sim.cache import configure_cache
-from repro.sim.parallel import group_spec, run_many, solo_spec
+from repro.sim.parallel import default_jobs, group_spec, run_many, solo_spec
 from repro.sim.runner import clear_solo_cache
 
 CYCLES = 3_000
@@ -62,3 +62,24 @@ class TestRunPairs:
         fresh_caches("parallel")
         parallel = run_pairs(cycles=CYCLES, jobs=4)
         assert parallel == serial
+
+
+class TestValidation:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_repro_jobs_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError):
+            default_jobs()
+
+    def test_repro_jobs_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert default_jobs() == 3
+        monkeypatch.delenv("REPRO_JOBS")
+        assert default_jobs() == 1
+
+    @pytest.mark.parametrize(
+        "names, message", [((), "at least one"), (("vpr", "nosuch"), "nosuch")]
+    )
+    def test_bad_mix_fails_at_construction(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            group_spec(names, "FR-FCFS", CYCLES, WARMUP, 0)
