@@ -6,9 +6,10 @@ interference pair, vpr co-scheduled with art, and a four-processor mix
 (art+vpr+parser+crafty) — under the first-ready baseline and the
 fair-queuing scheduler.  No result cache, no fan-out.  The measured
 rates and the event engine's skip ratios land in ``BENCH_engine.json``
-at the repository root — written through the shared manifest envelope
-(:mod:`repro.obs.manifest`), so ``repro-fqms perf`` can diff snapshots
-— and the performance trajectory is tracked across changes.
+at the repository root, stamped with the host and the ``REPRO_*`` knobs
+they ran under.  These are per-path rates for the tripwires below;
+whether a change made the program faster is decided end to end by
+``benchmarks/e2e/run.py compare``.
 
 Run length follows ``REPRO_SIM_CYCLES`` like every other benchmark, so
 CI can smoke-test with a short run while local measurements use the
@@ -32,11 +33,9 @@ import statistics
 from pathlib import Path
 from time import perf_counter
 
-from conftest import once
+from conftest import once, write_record
 
-from repro import env
 from repro.cpu.hierarchy import CacheHierarchy
-from repro.obs.manifest import write_bench_record
 from repro.sim.config import SystemConfig
 from repro.sim.runner import default_warmup, run_workload
 from repro.sim.system import CmpSystem
@@ -202,7 +201,7 @@ def _measure_prewarm():
     return row
 
 
-def test_engine_throughput(benchmark, cycles):
+def test_engine_throughput(benchmark, cycles, strict):
     rows, prewarm = once(benchmark, lambda: (_measure_all(cycles), _measure_prewarm()))
     print()
     for tag, policies in rows.items():
@@ -222,7 +221,7 @@ def test_engine_throughput(benchmark, cycles):
     print(f"  cold prewarm speedup {prewarm['speedup']:.2f}x")
     print(f"  shipped image speedup {prewarm['shipped_speedup']:.2f}x over batched")
 
-    write_bench_record(
+    write_record(
         RESULT_PATH,
         "engine_throughput",
         {
@@ -241,7 +240,7 @@ def test_engine_throughput(benchmark, cycles):
             "prewarm_rounds": PREWARM_ROUNDS,
             "prewarm": prewarm,
         },
-        strict_gate=env.truthy("REPRO_BENCH_STRICT"),
+        strict_gate=strict,
     )
 
     for tag, policies in rows.items():

@@ -18,16 +18,14 @@ Everything lands in ``BENCH_policies.json`` at the repository root.
 The ``pre_refactor`` baselines were measured at the commit preceding
 the refactor on the reference machine; since absolute rates do not
 transfer across machines, the 0.95x gate against them is enforced only
-when ``REPRO_BENCH_STRICT`` is set (the relative tripwire always is).
+when ``REPRO_BENCH_STRICT`` is on (the relative tripwire always is).
 """
 
 from pathlib import Path
 from time import perf_counter
 
-from conftest import once
+from conftest import once, write_record
 
-from repro import env
-from repro.obs.manifest import write_bench_record
 from repro.policy import SchedulingPolicy, register
 from repro.sim.runner import default_warmup, run_workload
 from repro.workloads.spec2000 import profile as lookup_profile
@@ -99,14 +97,13 @@ def _measure_all(cycles: int):
     return rates
 
 
-def test_policy_dispatch_overhead(benchmark, cycles):
+def test_policy_dispatch_overhead(benchmark, cycles, strict):
     rates = once(benchmark, lambda: _measure_all(cycles))
     print()
     for policy, engines in rates.items():
         for engine, rate in engines.items():
             print(f"  {policy:12s} {engine:6s} {rate:10,.0f} cyc/s")
 
-    strict = env.truthy("REPRO_BENCH_STRICT")
     if strict:
         # Fail loudly — not with a KeyError deep in the gate loop —
         # when the gate is armed but the baseline block it compares
@@ -124,7 +121,7 @@ def test_policy_dispatch_overhead(benchmark, cycles):
             "the baselines (or unset the env var) before trusting this "
             "run."
         )
-    write_bench_record(
+    write_record(
         RESULT_PATH,
         "policy_overhead",
         {

@@ -26,10 +26,8 @@ event engine must beat the cycle engine outright, and under
 from pathlib import Path
 from time import perf_counter
 
-from conftest import once
+from conftest import once, write_record
 
-from repro import env
-from repro.obs.manifest import write_bench_record
 from repro.sim.config import SystemConfig
 from repro.sim.runner import default_warmup
 from repro.sim.system import CmpSystem
@@ -106,7 +104,7 @@ def _measure_all(cycles: int):
     return sweep
 
 
-def test_engine_scaling(benchmark, cycles):
+def test_engine_scaling(benchmark, cycles, strict):
     # A 32-core run simulates 8x the work of the pair benchmarks at the
     # same window; a quarter window keeps the sweep tractable while the
     # per-step costs (the quantity under test) stay stable.
@@ -122,7 +120,7 @@ def test_engine_scaling(benchmark, cycles):
             f"  sparse ticks {event['sparse_tick_fraction']:.1%}"
         )
 
-    write_bench_record(
+    write_record(
         RESULT_PATH,
         "engine_scaling",
         {
@@ -133,7 +131,7 @@ def test_engine_scaling(benchmark, cycles):
             "cores_per_channel": CORES_PER_CHANNEL,
             "sweep": sweep,
         },
-        strict_gate=env.flag("REPRO_BENCH_STRICT"),
+        strict_gate=strict,
     )
 
     tripwire = sweep[str(TRIPWIRE_CORES)]
@@ -141,7 +139,7 @@ def test_engine_scaling(benchmark, cycles):
         f"event engine slower than the cycle engine at {TRIPWIRE_CORES} "
         f"cores: {tripwire['speedup']:.2f}x"
     )
-    if env.flag("REPRO_BENCH_STRICT"):
+    if strict:
         assert tripwire["speedup"] >= STRICT_SPEEDUP_FLOOR, (
             f"event engine below the {STRICT_SPEEDUP_FLOOR:.1f}x floor over "
             f"the cycle engine at {TRIPWIRE_CORES} cores: "

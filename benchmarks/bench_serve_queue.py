@@ -23,9 +23,8 @@ Everything lands in ``BENCH_serve.json`` at the repository root.
 from pathlib import Path
 from time import perf_counter
 
-from conftest import once
+from conftest import once, write_record
 
-from repro.obs.manifest import write_bench_record
 from repro.serve.queue import FairJobQueue
 from repro.sim.parallel import group_spec
 
@@ -105,7 +104,7 @@ def test_fair_job_queue_throughput(benchmark):
     for scenario, rate in rates.items():
         print(f"  {scenario:22s} {rate:12,.0f} jobs/s")
 
-    write_bench_record(
+    write_record(
         RESULT_PATH,
         "serve_queue",
         {

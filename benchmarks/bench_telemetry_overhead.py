@@ -17,18 +17,16 @@ traced run must produce a ``SimResult`` bit-identical to the untraced
 one (observation must not perturb the run it observes), and its
 Perfetto document must pass schema validation.
 
-Rates land in ``BENCH_telemetry.json`` at the repository root, written
-through the shared manifest envelope (:mod:`repro.obs.manifest`).
+Rates land in ``BENCH_telemetry.json`` at the repository root,
+stamped with the host and the ``REPRO_*`` knobs they ran under.
 """
 
 import dataclasses
 from pathlib import Path
 from time import perf_counter
 
-from conftest import once
+from conftest import once, write_record
 
-from repro import env
-from repro.obs.manifest import write_bench_record
 from repro.sim.runner import default_warmup, run_workload
 from repro.sim.system import comparable_result
 from repro.telemetry.driver import run_traced
@@ -73,7 +71,7 @@ def _measure_all(cycles: int):
     }
 
 
-def test_telemetry_overhead(benchmark, cycles):
+def test_telemetry_overhead(benchmark, cycles, strict):
     runs = once(benchmark, lambda: _measure_all(cycles))
     rates = {mode: rate for mode, (rate, _, _) in runs.items()}
     print()
@@ -81,7 +79,7 @@ def test_telemetry_overhead(benchmark, cycles):
         relative = rate / rates["untraced"]
         print(f"  {mode:9s} {rate:12,.0f} cyc/s  ({relative:.2f}x untraced)")
 
-    write_bench_record(
+    write_record(
         RESULT_PATH,
         "telemetry_overhead",
         {
@@ -95,7 +93,7 @@ def test_telemetry_overhead(benchmark, cycles):
             },
             "traced_relative": round(rates["traced"] / rates["untraced"], 4),
         },
-        strict_gate=env.truthy("REPRO_BENCH_STRICT"),
+        strict_gate=strict,
     )
 
     _, untraced, _ = runs["untraced"]

@@ -13,7 +13,6 @@ Examples::
     repro-fqms compare                # rank every registered policy
     repro-fqms compare --policies FR-FCFS,FQ-VFTF,BLISS --json cmp.json
     repro-fqms sweep --progress --workers 4    # live fleet dashboard
-    repro-fqms perf BENCH_old.json BENCH_new.json --threshold 0.1
 """
 
 from __future__ import annotations
@@ -190,12 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "perf":
-        # Same pre-dispatch pattern: 'perf' compares two performance
-        # snapshots (obs manifests / BENCH files) and gates regressions.
-        from .obs.perfcli import main as perf_main
-
-        return perf_main(argv[1:])
     if argv and argv[0] in ("serve", "submit", "status", "results", "sweep"):
         # The experiment-service family: 'serve' runs the fair-queued
         # async orchestrator, 'submit'/'status' talk to it over the
@@ -208,8 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-fqms",
         description="Fair Queuing Memory Systems (MICRO 2006) reproduction; "
-        "'repro-fqms lint' runs the contract-aware static analysis, "
-        "'repro-fqms perf' compares performance snapshots, and "
+        "'repro-fqms lint' runs the contract-aware static analysis and "
         "'repro-fqms serve|submit|status|results|sweep' is the fair-queued "
         "experiment service (each has its own --help)",
     )

@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional
 
-from .registry import MetricsRegistry  # noqa: F401  (re-export convenience)
 from ..stats.report import sparkline
 
 #: Seconds between worker heartbeat samples.

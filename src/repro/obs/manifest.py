@@ -1,25 +1,23 @@
-"""Schema-validated run/bench/profile manifests: one writer for all.
+"""Schema-validated run manifests: the result store's one record format.
 
-A *manifest* is the queryable record of one unit of measured work — a
-simulation run, a benchmark invocation, or a profiling session.  Every
-producer (the result store, the bench scripts,
-``tools/profile_run.py``) writes through :func:`write_manifest`, so
-every record shares one envelope::
+A *manifest* is the queryable record of one finished simulation run.
+The result store (:mod:`repro.serve.store`) writes every run through
+:func:`write_manifest`, and every record shares one envelope::
 
     {
       "schema": "repro.obs/1",
-      "kind": "run" | "bench" | "profile",
+      "kind": "run",
       "host": {"python": ..., "platform": ...},
       "env": {<declared REPRO_* knobs currently set>},
       "metrics": {"dotted.name": <number>, ...},
       "labels": {"dotted.name": "<string>", ...},
-      ...kind-specific fields...
+      "fingerprint": ..., "policy": ..., "workload": [...],
+      "window": {...}, "result": {"digest": ..., ...}
     }
 
-``metrics`` is the flat numeric namespace ``repro-fqms perf`` compares
-across snapshots; :func:`flatten` folds any nested JSON payload into it
-(so migrated BENCH_*.json files keep their legacy ``data`` block
-verbatim *and* expose every numeric leaf under dotted paths).
+``metrics`` is the flat numeric namespace ``repro-fqms results
+--aggregate`` reads: the result's cycles, per-thread IPC and latency,
+and its extras (``extras.engine_*`` among them).
 
 Deliberately absent: wall-clock timestamps.  A manifest describes a
 deterministic computation; stamping write time would make re-emitting
@@ -35,70 +33,23 @@ import os
 import platform
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .. import env
 
 #: Manifest envelope schema identifier; bump on shape changes.
 MANIFEST_SCHEMA = "repro.obs/1"
 
-#: Accepted manifest kinds.
-MANIFEST_KINDS = ("run", "bench", "profile")
+#: The one manifest kind.
+MANIFEST_KIND = "run"
 
 
 def host_stamp() -> Dict[str, str]:
-    """The interpreter/platform stamp shared by every manifest."""
+    """The interpreter/platform stamp every manifest and BENCH record carries."""
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-
-
-def flatten(
-    payload: Any, prefix: str = "", out: Optional[Dict[str, float]] = None
-) -> Dict[str, float]:
-    """Numeric leaves of ``payload`` as a flat ``dotted.path -> float`` map.
-
-    Dict keys and list indexes become path components; booleans and
-    strings are skipped (they are labels, not metrics).  The map is the
-    comparison namespace of ``repro-fqms perf``.
-    """
-    if out is None:
-        out = {}
-    if isinstance(payload, bool):
-        return out
-    if isinstance(payload, (int, float)):
-        if prefix:
-            out[prefix] = float(payload)
-        return out
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            flatten(payload[key], sub, out)
-    elif isinstance(payload, (list, tuple)):
-        for i, item in enumerate(payload):
-            sub = f"{prefix}.{i}" if prefix else str(i)
-            flatten(item, sub, out)
-    return out
-
-
-def new_manifest(
-    kind: str,
-    metrics: Optional[Dict[str, float]] = None,
-    labels: Optional[Dict[str, str]] = None,
-    **fields: Any,
-) -> Dict[str, Any]:
-    """A fresh envelope of ``kind`` with the shared header filled in."""
-    payload: Dict[str, Any] = {
-        "schema": MANIFEST_SCHEMA,
-        "kind": kind,
-        "host": host_stamp(),
-        "env": env.snapshot(),
-        "metrics": dict(metrics or {}),
-        "labels": dict(labels or {}),
-    }
-    payload.update(fields)
-    return payload
 
 
 # -- validation ------------------------------------------------------------
@@ -117,9 +68,9 @@ def _check_str_map(value: Any, where: str, problems: List[str]) -> None:
 def validate_manifest(payload: Any) -> List[str]:
     """Structural problems with ``payload`` (empty list = valid).
 
-    Checks the envelope and the kind-specific required fields; the one
-    gate every writer and loader shares, so corruption surfaces as a
-    named problem instead of a downstream KeyError.
+    Checks the envelope and the run fields; the one gate every writer
+    and loader shares, so corruption surfaces as a named problem
+    instead of a downstream KeyError.
     """
     problems: List[str] = []
     if not isinstance(payload, dict):
@@ -128,10 +79,9 @@ def validate_manifest(payload: Any) -> List[str]:
         problems.append(
             f"schema must be {MANIFEST_SCHEMA!r}, got {payload.get('schema')!r}"
         )
-    kind = payload.get("kind")
-    if kind not in MANIFEST_KINDS:
+    if payload.get("kind") != MANIFEST_KIND:
         problems.append(
-            f"kind must be one of {MANIFEST_KINDS}, got {kind!r}"
+            f"kind must be {MANIFEST_KIND!r}, got {payload.get('kind')!r}"
         )
     host = payload.get("host")
     if not isinstance(host, dict) or not isinstance(host.get("python"), str):
@@ -152,41 +102,30 @@ def validate_manifest(payload: Any) -> List[str]:
                     f"metrics[{name!r}] must map string to number"
                 )
                 break
-    if kind == "run":
-        if not isinstance(payload.get("fingerprint"), str):
-            problems.append("run manifest needs a 'fingerprint' string")
-        if not isinstance(payload.get("policy"), str):
-            problems.append("run manifest needs a 'policy' string")
-        workload = payload.get("workload")
-        if not isinstance(workload, list) or not all(
-            isinstance(name, str) for name in workload
-        ):
-            problems.append("run manifest needs a 'workload' string list")
-        window = payload.get("window")
-        if not isinstance(window, dict) or not all(
-            isinstance(window.get(k), int) for k in ("cycles", "warmup", "seed")
-        ):
-            problems.append(
-                "run manifest needs a 'window' object with integer "
-                "cycles/warmup/seed"
-            )
-        result = payload.get("result")
-        if not isinstance(result, dict) or not isinstance(
-            result.get("digest"), str
-        ):
-            problems.append(
-                "run manifest needs a 'result' object with a 'digest' string"
-            )
-    elif kind == "bench":
-        if not isinstance(payload.get("bench"), str):
-            problems.append("bench manifest needs a 'bench' string")
-        if not isinstance(payload.get("data"), dict):
-            problems.append("bench manifest needs a 'data' object")
-        if not isinstance(payload.get("strict_gate"), (bool, type(None))):
-            problems.append("bench 'strict_gate' must be boolean or null")
-    elif kind == "profile":
-        if not isinstance(payload.get("command"), str):
-            problems.append("profile manifest needs a 'command' string")
+    if not isinstance(payload.get("fingerprint"), str):
+        problems.append("run manifest needs a 'fingerprint' string")
+    if not isinstance(payload.get("policy"), str):
+        problems.append("run manifest needs a 'policy' string")
+    workload = payload.get("workload")
+    if not isinstance(workload, list) or not all(
+        isinstance(name, str) for name in workload
+    ):
+        problems.append("run manifest needs a 'workload' string list")
+    window = payload.get("window")
+    if not isinstance(window, dict) or not all(
+        isinstance(window.get(k), int) for k in ("cycles", "warmup", "seed")
+    ):
+        problems.append(
+            "run manifest needs a 'window' object with integer "
+            "cycles/warmup/seed"
+        )
+    result = payload.get("result")
+    if not isinstance(result, dict) or not isinstance(
+        result.get("digest"), str
+    ):
+        problems.append(
+            "run manifest needs a 'result' object with a 'digest' string"
+        )
     return problems
 
 
@@ -231,23 +170,6 @@ def load_manifest(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     if problems:
         raise ManifestError(f"{path}: " + "; ".join(problems))
     return payload
-
-
-def load_metrics(path: Union[str, os.PathLike]) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """(payload, flat metrics) for a manifest *or* a legacy BENCH file.
-
-    Pre-migration ``BENCH_*.json`` files carry no ``schema`` key; their
-    numeric leaves are flattened directly so ``repro-fqms perf`` can
-    compare historical snapshots against migrated ones.
-    """
-    with open(path) as handle:
-        payload = json.load(handle)
-    if isinstance(payload, dict) and "schema" in payload:
-        problems = validate_manifest(payload)
-        if problems:
-            raise ManifestError(f"{path}: " + "; ".join(problems))
-        return payload, dict(payload["metrics"])
-    return payload, flatten(payload)
 
 
 # -- run manifests ---------------------------------------------------------
@@ -314,7 +236,13 @@ def run_manifest(
         from ..sim.cache import result_to_json  # lazy: avoids import cycle
 
         result_field["payload"] = result_to_json(result)
-    fields: Dict[str, Any] = {
+    payload: Dict[str, Any] = {
+        "schema": MANIFEST_SCHEMA,
+        "kind": MANIFEST_KIND,
+        "host": host_stamp(),
+        "env": env.snapshot(),
+        "metrics": metrics,
+        "labels": labels,
         "fingerprint": fingerprint,
         "policy": policy,
         "workload": list(workload),
@@ -322,8 +250,8 @@ def run_manifest(
         "result": result_field,
     }
     if spec_payload is not None:
-        fields["spec"] = dict(spec_payload)
-    return new_manifest("run", metrics=metrics, labels=labels, **fields)
+        payload["spec"] = dict(spec_payload)
+    return payload
 
 
 def emit_run_manifest(
@@ -338,36 +266,3 @@ def emit_run_manifest(
     payload = run_manifest(**kwargs)
     name = f"run-{payload['fingerprint'][:16]}.json"
     return write_manifest(Path(directory) / name, payload)
-
-
-# -- bench records ---------------------------------------------------------
-
-
-def bench_record(
-    name: str,
-    data: Dict[str, Any],
-    strict_gate: Optional[bool] = None,
-) -> Dict[str, Any]:
-    """A bench-kind manifest wrapping a script's measurement payload.
-
-    ``data`` is preserved verbatim (the shape each script historically
-    wrote) and every numeric leaf is additionally exposed under
-    ``metrics`` for ``repro-fqms perf``.
-    """
-    return new_manifest(
-        "bench",
-        metrics=flatten(data),
-        bench=name,
-        data=dict(data),
-        strict_gate=strict_gate,
-    )
-
-
-def write_bench_record(
-    path: Union[str, os.PathLike],
-    name: str,
-    data: Dict[str, Any],
-    strict_gate: Optional[bool] = None,
-) -> Path:
-    """The shared BENCH_*.json writer used by every benchmark script."""
-    return write_manifest(path, bench_record(name, data, strict_gate=strict_gate))

@@ -29,7 +29,7 @@ from . import clock
 from .protocol import ProtocolServer, request, results_rows
 from .service import ExperimentService
 from .spec import SweepSpec
-from .store import ResultStore
+from .store import GROUP_FIELDS, ResultStore
 
 #: Environment knob naming the default service root.
 ROOT_ENV_VAR = "REPRO_SERVE"
@@ -365,9 +365,8 @@ def _results_parser() -> argparse.ArgumentParser:
         "(e.g. result.cycles, thread.0.ipc)",
     )
     parser.add_argument(
-        "--by", default="policy",
-        help="aggregation group field (policy, workload, seed, tenant, "
-        "source; default %(default)s)",
+        "--by", default="policy", choices=GROUP_FIELDS,
+        help="aggregation group field (default %(default)s)",
     )
     parser.add_argument(
         "--json", action="store_true", help="print rows as JSON"

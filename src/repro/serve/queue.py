@@ -29,6 +29,7 @@ by the service through :mod:`repro.serve.clock`.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.parallel import RunSpec
@@ -71,6 +72,20 @@ class Job:
         self.error: Optional[str] = None
 
 
+def _share(weight: float) -> float:
+    """``weight`` as a tenant share φ; ``ValueError`` unless positive and finite.
+
+    A NaN or infinite φ would give NaN finish tags, which break the
+    heap order every dispatch relies on.
+    """
+    weight = float(weight)
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(
+            f"tenant share must be positive and finite, got {weight}"
+        )
+    return weight
+
+
 class TenantAccount:
     """Per-tenant share and service accounting."""
 
@@ -80,10 +95,8 @@ class TenantAccount:
     )
 
     def __init__(self, name: str, weight: float = 1.0):
-        if weight <= 0:
-            raise ValueError(f"tenant share must be positive, got {weight}")
         self.name = name
-        self.weight = float(weight)
+        self.weight = _share(weight)
         self.last_finish_tag = 0.0
         self.submitted = 0
         self.finished = 0
@@ -121,9 +134,7 @@ class FairJobQueue:
             account = TenantAccount(name, weight if weight is not None else 1.0)
             self.tenants[name] = account
         elif weight is not None:
-            if weight <= 0:
-                raise ValueError(f"tenant share must be positive, got {weight}")
-            account.weight = float(weight)
+            account.weight = _share(weight)
         return account
 
     # -- scheduling --------------------------------------------------------

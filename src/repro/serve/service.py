@@ -22,9 +22,9 @@ simulated-cycle progress over a Manager queue into a
 :class:`~repro.obs.fleet.FleetState`, whose render *is* the
 ``repro-fqms status`` dashboard and the ``repro-fqms sweep --progress``
 view.  Per-tenant busy-seconds, MISE-style slowdowns, and the
-unfairness headline flow into a
-:class:`~repro.obs.registry.MetricsRegistry` — the same metrics
-surface the simulator's own observability uses.
+unfairness headline come from :meth:`FairJobQueue.fairness
+<repro.serve.queue.FairJobQueue.fairness>` and ride ``status()`` as
+its ``fairness`` block.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import env
 from ..obs import fleet
-from ..obs.registry import MetricsRegistry
 from ..sim import parallel, runner
 from ..sim.retry import RetryPolicy, WorkerCrashError
 from ..sim.system import CmpSystem, SimResult
@@ -221,7 +220,6 @@ class ExperimentService:
         self.store = ResultStore(self.root / "store")
         self.queue = FairJobQueue()
         self.state = fleet.FleetState()
-        self.registry = MetricsRegistry()
         self.jobs: Dict[int, Job] = {}
         self._manager: Any = None
         self._heartbeats: Optional[fleet.FleetMonitor] = None
@@ -472,11 +470,8 @@ class ExperimentService:
         return dict(getattr(self.executor, "pids", {}) or {})
 
     def fairness_metrics(self) -> Dict[str, float]:
-        """Tenant fairness headline, mirrored into the obs registry."""
-        metrics = self.queue.fairness()
-        for name, value in metrics.items():
-            self.registry.gauge(f"serve.{name}", value)
-        return metrics
+        """Tenant fairness headline (:meth:`FairJobQueue.fairness`)."""
+        return self.queue.fairness()
 
     def status(self) -> Dict[str, Any]:
         """The queryable service snapshot (the ``status`` op's payload)."""

@@ -46,6 +46,9 @@ RUNS_DIR = "runs"
 #: The index file name under the store root.
 INDEX_NAME = "index.jsonl"
 
+#: The :class:`StoreEntry` fields :meth:`ResultStore.aggregate` groups by.
+GROUP_FIELDS = ("policy", "workload", "seed", "tenant", "source")
+
 
 @dataclass(frozen=True)
 class StoreEntry:
@@ -329,10 +332,10 @@ class ResultStore:
     ) -> Dict[str, float]:
         """Mean of ``metric`` over matching runs, grouped by a field.
 
-        ``by`` names a :class:`StoreEntry` field (``policy``,
-        ``workload``, ``seed``, ``tenant``, ``source``); runs whose
-        manifests lack the metric are skipped.  Group keys are strings
-        (workload mixes render as ``a+b``) and the result is key-sorted.
+        ``by`` names a :class:`StoreEntry` field, one of
+        :data:`GROUP_FIELDS`; runs whose manifests lack the metric are
+        skipped.  Group keys are strings (workload mixes render as
+        ``a+b``) and the result is key-sorted.
         """
         sums: Dict[str, float] = {}
         counts: Dict[str, int] = {}

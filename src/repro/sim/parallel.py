@@ -28,6 +28,7 @@ image pays a cold warm-up.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -80,8 +81,11 @@ class RunSpec:
                     f"{len(self.shares)} shares for {len(self.names)} benchmarks"
                 )
             for share in self.shares:
-                if share <= 0:
-                    raise ValueError(f"shares must be positive, got {share}")
+                # NaN fails every comparison, so test for it explicitly.
+                if not (math.isfinite(share) and share > 0):
+                    raise ValueError(
+                        f"shares must be positive and finite, got {share}"
+                    )
             # Normalize arbitrary positive weights into φ fractions
             # summing to 1 (the controller's register convention), so
             # (4, 1) and (0.8, 0.2) describe — and fingerprint as —

@@ -60,9 +60,9 @@ class TestObsImports:
 
     def test_clean_obs_module_passes(self, project_of, run_rule):
         project = project_of({
-            "repro/obs/registry.py": """
-                class MetricsRegistry:
-                    pass
+            "repro/obs/engine.py": """
+                def engine_extras(system):
+                    return {}
             """,
         })
         assert run_rule("DET008", project) == []

@@ -1,4 +1,4 @@
-"""Manifest schema: flatten, validation, atomic writes, legacy loads."""
+"""Run manifests: validation, atomic writes, fingerprint naming."""
 
 import json
 
@@ -7,16 +7,11 @@ import pytest
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     ManifestError,
-    bench_record,
     emit_run_manifest,
-    flatten,
     load_manifest,
-    load_metrics,
-    new_manifest,
     result_digest,
     run_manifest,
     validate_manifest,
-    write_bench_record,
     write_manifest,
 )
 from repro.sim.system import SimResult, ThreadResult
@@ -45,50 +40,46 @@ def _result():
     )
 
 
-class TestFlatten:
-    def test_numeric_leaves_become_dotted_paths(self):
-        flat = flatten({"a": {"b": 1, "c": 2.5}, "d": 3})
-        assert flat == {"a.b": 1.0, "a.c": 2.5, "d": 3.0}
-
-    def test_lists_index_as_components(self):
-        assert flatten({"xs": [1, 2]}) == {"xs.0": 1.0, "xs.1": 2.0}
-
-    def test_strings_and_bools_are_skipped(self):
-        assert flatten({"name": "vpr", "strict": True, "n": 1}) == {"n": 1.0}
+def _manifest():
+    return run_manifest(
+        fingerprint="ab" * 32,
+        policy="FQ-VFTF",
+        workload=["vpr"],
+        cycles=1000,
+        warmup=250,
+        seed=0,
+        result=_result(),
+    )
 
 
 class TestValidation:
-    def test_fresh_bench_record_is_valid(self):
-        assert validate_manifest(bench_record("b", {"x": 1})) == []
-
     def test_non_object_rejected(self):
         assert validate_manifest([1, 2]) == ["manifest must be a JSON object"]
 
     def test_wrong_schema_named(self):
-        payload = bench_record("b", {})
+        payload = _manifest()
         payload["schema"] = "repro.obs/999"
         assert any("schema" in p for p in validate_manifest(payload))
 
     def test_unknown_kind_named(self):
-        payload = new_manifest("bench", bench="b", data={}, strict_gate=None)
-        payload["kind"] = "mystery"
-        assert any("kind" in p for p in validate_manifest(payload))
+        # Only run manifests exist; the retired bench and profile
+        # kinds are as unknown as any other.
+        for kind in ("mystery", "bench", "profile"):
+            payload = _manifest()
+            payload["kind"] = kind
+            assert any("kind" in p for p in validate_manifest(payload)), kind
 
     def test_string_valued_metric_rejected(self):
-        payload = bench_record("b", {})
+        payload = _manifest()
         payload["metrics"]["rate"] = "fast"
         assert any("metrics" in p for p in validate_manifest(payload))
 
     def test_run_kind_requires_window_and_digest(self):
-        payload = new_manifest("run", fingerprint="f", policy="p", workload=["vpr"])
+        payload = _manifest()
+        del payload["window"], payload["result"]
         problems = validate_manifest(payload)
         assert any("window" in p for p in problems)
         assert any("digest" in p for p in problems)
-
-    def test_profile_kind_requires_command(self):
-        assert any(
-            "command" in p for p in validate_manifest(new_manifest("profile"))
-        )
 
 
 class TestWriter:
@@ -100,25 +91,18 @@ class TestWriter:
         assert list(tmp_path.iterdir()) == []  # no orphaned temp files
 
     def test_roundtrip_through_loader(self, tmp_path):
-        path = write_bench_record(tmp_path / "b.json", "bench", {"rate": 10})
+        path = write_manifest(tmp_path / "run.json", _manifest())
         payload = load_manifest(path)
-        assert payload["bench"] == "bench"
-        assert payload["metrics"] == {"rate": 10.0}
+        assert payload == _manifest()
+        assert payload["metrics"]["result.cycles"] == 1000.0
 
     def test_loader_rejects_corrupt_manifest(self, tmp_path):
         path = tmp_path / "torn.json"
-        good = bench_record("b", {"rate": 10})
+        good = _manifest()
         del good["metrics"]
         path.write_text(json.dumps(good))
         with pytest.raises(ManifestError):
             load_manifest(path)
-
-    def test_load_metrics_accepts_legacy_schemaless_bench(self, tmp_path):
-        path = tmp_path / "BENCH_legacy.json"
-        path.write_text(json.dumps({"cycles_per_second": {"FQ-VFTF": 90000.5}}))
-        payload, flat = load_metrics(path)
-        assert "schema" not in payload
-        assert flat == {"cycles_per_second.FQ-VFTF": 90000.5}
 
 
 class TestRunManifests:

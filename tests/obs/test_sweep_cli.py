@@ -56,6 +56,11 @@ class TestParsing:
         assert "nosuch" in capsys.readouterr().out
         assert not (tmp_path / "store").exists()
 
+    def test_non_finite_share_exits_two(self, tmp_path, capsys):
+        assert main(["--root", str(tmp_path), "--shares", "nan,1"]) == 2
+        assert "finite" in capsys.readouterr().out
+        assert not (tmp_path / "store").exists()
+
     def test_bad_workers_exits_two(self, tmp_path):
         assert main(["--root", str(tmp_path), "--workers", "0"]) == 2
 

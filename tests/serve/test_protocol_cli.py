@@ -213,6 +213,17 @@ class TestOfflineResultsCli:
         assert "mean result.cycles" in out
         assert "FR-FCFS" in out and "FQ-VFTF" in out
 
+    def test_aggregate_by_unknown_field_is_a_usage_error(
+        self, populated_root, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(
+                capsys, "results", "--root", str(populated_root),
+                "--aggregate", "result.cycles", "--by", "bogus",
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_store_problems_are_surfaced(self, populated_root, capsys):
         index = populated_root / "store" / "index.jsonl"
         with open(index, "a") as handle:

@@ -108,6 +108,17 @@ class TestAccounts:
         with pytest.raises(ValueError, match="positive"):
             queue.tenant("a", weight=-1.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        queue = FairJobQueue()
+        with pytest.raises(ValueError, match="finite"):
+            queue.tenant("a", weight=weight)
+        assert queue.tenants == {}
+        queue.tenant("b")
+        with pytest.raises(ValueError, match="finite"):
+            queue.tenant("b", weight=weight)
+        assert queue.tenant("b").weight == 1.0
+
     def test_reweight_existing_tenant(self):
         queue = FairJobQueue()
         queue.tenant("a", weight=1.0)

@@ -176,6 +176,26 @@ class TestSubmitAndDrain:
         assert service.executor.executions == 0
         assert len(service.store) == 0
 
+    @pytest.mark.parametrize("share", [float("nan"), float("inf")])
+    def test_non_finite_share_queues_nothing(self, tmp_path, tiny_result, share):
+        service = ExperimentService(
+            tmp_path, workers=1, retry_policy=NO_RETRY,
+            executor=InstantExecutor(tiny_result),
+        )
+
+        async def scenario():
+            await service.start()
+            with pytest.raises(ValueError, match="finite"):
+                service.submit_sweep("alice", small_sweep(), share=share)
+            await asyncio.wait_for(service.drain(), timeout=5)
+            await service.stop()
+
+        run(scenario())
+        assert len(service.queue) == 0
+        assert service.jobs == {}
+        assert service.queue.tenants == {}
+        assert len(service.store) == 0
+
 
 class TestRetrySemantics:
     def test_crashed_jobs_are_retried_then_done(self, tmp_path, tiny_result):
@@ -294,10 +314,7 @@ class TestFairnessDogfood:
             assert busy / fair == pytest.approx(1.0, rel=0.10)
         assert metrics["max_slowdown"] >= 1.0
         assert metrics["unfairness"] >= 1.0
-        # The headline lands in the obs registry namespace.
-        registered = service.registry.metrics()
-        assert "serve.unfairness" in registered
-        assert "serve.tenant.alice.busy_share" in registered
+        assert service.status()["fairness"] == metrics
 
 
 class TestEndToEndScale:

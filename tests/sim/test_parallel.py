@@ -83,3 +83,10 @@ class TestValidation:
     def test_bad_mix_fails_at_construction(self, names, message):
         with pytest.raises(ValueError, match=message):
             group_spec(names, "FR-FCFS", CYCLES, WARMUP, 0)
+
+    @pytest.mark.parametrize("share", [float("nan"), float("inf")])
+    def test_non_finite_share_fails_at_construction(self, share):
+        with pytest.raises(ValueError, match="finite"):
+            group_spec(
+                ("vpr", "art"), "FQ-VFTF", CYCLES, WARMUP, 0, shares=(share, 1)
+            )

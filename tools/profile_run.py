@@ -19,15 +19,9 @@ or dearer, no manual pstats spelunking:
     ... make changes ...
     PYTHONPATH=src python tools/profile_run.py --diff before.prof
 
-``--manifest OUT.json`` additionally writes the per-function table as
-a profile-kind manifest (schema ``repro.obs/1``), so a profiling
-session can be diffed with ``repro-fqms perf`` like any other
-snapshot:
-
-    PYTHONPATH=src python tools/profile_run.py --manifest before.json
-    ... make changes ...
-    PYTHONPATH=src python tools/profile_run.py --manifest after.json
-    PYTHONPATH=src repro-fqms perf before.json after.json
+A profile finds candidates; whether a change made the program faster
+is decided by the end-to-end benchmark (``benchmarks/e2e/run.py``
+and its ``compare`` verdict).
 """
 
 from __future__ import annotations
@@ -100,43 +94,6 @@ def _print_diff(baseline: pstats.Stats, current: pstats.Stats, sort: str, top: i
         )
 
 
-def _write_manifest(path, args, stats, simulated, elapsed, top):
-    """Emit the profile as a repro.obs/1 manifest for ``repro-fqms perf``.
-
-    Function keys are ``file(func)`` — line numbers deliberately
-    dropped so an unrelated edit shifting a function downward does not
-    orphan its before/after pairing.  Seconds-valued metrics carry the
-    ``_s`` suffix, so the perf CLI gates them lower-is-better.
-    """
-    from repro.obs.manifest import new_manifest, write_manifest
-
-    metrics = {
-        "elapsed_s": round(elapsed, 4),
-        "cycles_per_second": round(simulated / elapsed, 1),
-    }
-    ranked = sorted(
-        _function_rows(stats).items(), key=lambda kv: kv[1][2], reverse=True
-    )
-    for (filename, _lineno, funcname), (ncalls, tot, cum) in ranked[:top]:
-        key = f"{Path(filename).name}({funcname})"
-        metrics[f"function.{key}.ncalls"] = float(ncalls)
-        metrics[f"function.{key}.tottime_s"] = round(tot, 6)
-        metrics[f"function.{key}.cumtime_s"] = round(cum, 6)
-    payload = new_manifest(
-        "profile",
-        metrics=metrics,
-        labels={
-            "profile.workload": "+".join(args.benchmarks),
-            "profile.policy": args.policy,
-        },
-        command="profile_run.py "
-        f"--benchmarks {' '.join(args.benchmarks)} --policy {args.policy} "
-        f"--cycles {args.cycles} --seed {args.seed}",
-    )
-    write_manifest(path, payload)
-    print(f"manifest written to {path}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -174,13 +131,6 @@ def main(argv=None) -> int:
         metavar="BASELINE.prof",
         default=None,
         help="print the per-function delta vs a profile saved with --save",
-    )
-    parser.add_argument(
-        "--manifest",
-        metavar="OUT.json",
-        default=None,
-        help="write the per-function table as a profile-kind manifest "
-        "(repro.obs/1) for repro-fqms perf",
     )
     args = parser.parse_args(argv)
     sort = SORT_KEYS[args.sort]
@@ -232,8 +182,6 @@ def main(argv=None) -> int:
     if args.save is not None:
         stats.dump_stats(args.save)
         print(f"profile written to {args.save}")
-    if args.manifest is not None:
-        _write_manifest(args.manifest, args, stats, simulated, elapsed, args.top)
     if baseline is not None:
         _print_diff(baseline, stats, sort, args.top)
     else:
