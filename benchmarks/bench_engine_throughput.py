@@ -75,22 +75,30 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
 def _measure(workload, policy: str, engine: str, cycles: int):
-    """Best-of-N throughput of one fresh simulation; returns one row."""
+    """Best-of-N throughput of one fresh simulation; returns one row.
+
+    ``spread`` keeps every round's rate (min/median/max), so a reader
+    can tell a real difference between two records from host noise.
+    """
     profiles = [lookup_profile(name) for name in workload]
     warmup = default_warmup(cycles)
     simulated = cycles + warmup
-    best = 0.0
+    rates = []
     extras = {}
     for _ in range(ROUNDS):
         start = perf_counter()
         result = run_workload(
             profiles, policy, cycles=cycles, warmup=warmup, engine=engine
         )
-        elapsed = perf_counter() - start
-        best = max(best, simulated / elapsed)
+        rates.append(simulated / (perf_counter() - start))
         extras = result.extras
     row = {
-        "cycles_per_second": round(best, 1),
+        "cycles_per_second": round(max(rates), 1),
+        "spread": {
+            "min": round(min(rates), 1),
+            "median": round(statistics.median(rates), 1),
+            "max": round(max(rates), 1),
+        },
         "skip_ratio": round(extras.get("engine_skip_ratio", 0.0), 4),
     }
     steps = extras.get("engine_steps", 0.0)

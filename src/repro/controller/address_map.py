@@ -19,6 +19,7 @@ support is this reproduction's future-work extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 
@@ -55,31 +56,38 @@ class AddressMap:
         _log2_exact(self.columns_per_row, "columns_per_row")
         _log2_exact(self.num_channels, "num_channels")
 
-    @property
+    # Field widths are computed on first use and then read as plain
+    # instance attributes: channel_of and decode run on every request.
+
+    @cached_property
     def offset_bits(self) -> int:
         return _log2_exact(self.line_bytes, "line_bytes")
 
-    @property
+    @cached_property
     def channel_bits(self) -> int:
         return _log2_exact(self.num_channels, "num_channels")
 
-    @property
+    @cached_property
     def column_bits(self) -> int:
         return _log2_exact(self.columns_per_row, "columns_per_row")
 
-    @property
+    @cached_property
     def bank_bits(self) -> int:
         return _log2_exact(self.num_banks, "num_banks")
 
-    @property
+    @cached_property
     def rank_bits(self) -> int:
         return _log2_exact(self.num_ranks, "num_ranks")
+
+    @cached_property
+    def channel_mask(self) -> int:
+        return self.num_channels - 1
 
     def channel_of(self, address: int) -> int:
         """The memory channel serving ``address``."""
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        return (address >> self.offset_bits) & (self.num_channels - 1)
+        return (address >> self.offset_bits) & self.channel_mask
 
     def decode(self, address: int) -> Tuple[int, int, int, int]:
         """Decode a physical byte address to (rank, bank, row, column).

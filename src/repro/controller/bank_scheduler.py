@@ -479,49 +479,52 @@ class BankScheduler:
 
     # -- wake bounds ---------------------------------------------------------
 
-    def cacheable_wake(self, now: int) -> Optional[int]:
-        """Lower bound on this bank's next possibly-ready candidate.
+    def _uniform_kind(self) -> Optional[CommandType]:
+        """The one command kind every queued request needs, if they agree.
 
-        The channel scheduler caches the result and skips this bank's
-        :meth:`candidate` call until the bound elapses.  The bound must
-        only move *later* while cached, which holds because command
-        issues elsewhere can only push DRAM timing out, and every event
-        that could pull it in (an arrival, an issue on this bank, a
-        refresh, a write-drain flip — and, under VTMS policies, *any*
-        VTMS register change, which the controller maps to a full
-        invalidation on every arrival and issue) invalidates the cache.
-
-        Returns ``IDLE_BOUND`` when the bank has no work at all.  In
-        committed FQ mode the bound is exact: the nominated request is
-        pinned until the next invalidation event (VTMS registers only
-        move on arrivals/issues, both of which invalidate), so the
-        earliest-issue time of its next command kind may be cached.
-        ``None`` (poll every cycle) is kept only for the rare
-        write-gated committed state, where the nominated set depends on
-        the drain gate mid-flight.
+        For an open bank with queued work: PRECHARGE when nothing hits
+        the open row, READ or WRITE when every request hits it with that
+        kind, None for a mix.  When the kinds agree, which request the
+        FQ bank rule nominates cannot change the command it waits for.
         """
-        bank = self._bank_state()
-        if (
+        self._ensure_counts()
+        hits = self._n_read_hit + self._n_write_hit
+        if hits == 0:
+            return CommandType.PRECHARGE
+        if hits == self._n_read + self._n_write:
+            if self._n_write_hit == 0:
+                return CommandType.READ
+            if self._n_read_hit == 0:
+                return CommandType.WRITE
+        return None
+
+    def reads_vtms(self, now: int) -> bool:
+        """True when this bank's wake bound at ``now`` depends on VTMS.
+
+        Past the inversion bound an open bank with queued work serves
+        only its earliest-VFT request (the FQ bank rule), so its bound
+        is that request's own command — which a VTMS register change
+        can alter only when the queued requests need different kinds.
+        """
+        bank = self._bank
+        return (
             self.policy.fq_bank_rule
             and bank.open_row is not None
-            and self.queue
+            and bool(self.queue)
             and now - bank.last_activate >= self.inversion_bound
-        ):
-            if not self.writes_eligible:
-                return None
-            if not self.policy.arrival_accounting:
-                self._refresh_finish_times()
-            chosen = self._min_key_request(self.queue)
-            t = self.dram.earliest_issue(
-                self._next_command_kind(chosen), self.rank, self.bank
-            )
-            if t is None:  # pragma: no cover - open bank always has a kind
-                return None
-            return t if t > now else now + 1
-        t = self.earliest_possible_issue(now)
-        if t is None:
-            return IDLE_BOUND
-        return t
+            and self._uniform_kind() is None
+        )
+
+    def cacheable_wake(self, now: int) -> int:
+        """Lower bound on this bank's next possibly-ready candidate, > ``now``.
+
+        What the channel scheduler caches after a fruitless
+        :meth:`candidate` call: :meth:`poll_bound` moved past ``now``,
+        so the bank is skipped until the bound elapses.  ``IDLE_BOUND``
+        when the bank has no work at all.
+        """
+        t = self.poll_bound(now)
+        return t if t > now else now + 1
 
     def poll_bound(self, now: int) -> int:
         """First cycle ≥ ``now`` this bank could nominate a *ready* candidate.
@@ -536,6 +539,14 @@ class BankScheduler:
         nominated set is ambiguous return ``now``).  A future bound may
         still be conservative (early), which at worst re-polls.
         ``IDLE_BOUND`` means nothing to nominate at all.
+
+        Cached by the channel scheduler, the bound stays sound while
+        other banks issue (they only push DRAM timing out), and every
+        event that could pull it in — an arrival or issue on this bank,
+        a refresh, a write-drain flip, and, when :meth:`reads_vtms`, a
+        VTMS register change — drops it.  The channel scheduler also
+        refreshes stale cached bounds through here, for
+        :meth:`ChannelScheduler.select` and for the controller's sleep.
         """
         bank = self._bank
         if (
@@ -545,18 +556,26 @@ class BankScheduler:
         ):
             switch = bank.last_activate + self.inversion_bound
             if now >= switch:
+                # Committed: only the earliest-VFT request's next
+                # command can issue from this bank.
                 if not self.writes_eligible:
+                    # The drain gate hides part of the queue from the
+                    # nominee choice: poll every cycle.
                     return now
-                if not self.policy.arrival_accounting:
-                    # The nominated request comes from VFT ordering, so
-                    # the estimates must be current before taking the
-                    # min (candidate() refreshes them the same way).
-                    self._refresh_finish_times()
-                chosen = self._min_key_request(self.queue)
-                t = self.dram.earliest_issue(
-                    self._next_command_kind(chosen), self.rank, self.bank
-                )
+                kind = self._uniform_kind()
+                if kind is None:
+                    if not self.policy.arrival_accounting:
+                        # The nominee comes from VFT ordering, so the
+                        # estimates must be current before taking the
+                        # min (candidate() refreshes them the same way).
+                        self._refresh_finish_times()
+                    kind = self._next_command_kind(
+                        self._min_key_request(self.queue)
+                    )
+                t = self.dram.earliest_issue(kind, self.rank, self.bank)
                 return now if t is None else t
+            # First-ready until the inversion bound expires; the mode
+            # switch itself is a wake-worthy event.
             mask = self.kind_mask()
             if not mask:
                 return switch
@@ -569,47 +588,6 @@ class BankScheduler:
             return IDLE_BOUND
         e = self.dram.kernel.earliest_by_mask(self.vtms_bank_index, mask)
         return IDLE_BOUND if e is None else e
-
-    def earliest_possible_issue(self, now: int) -> Optional[int]:
-        """Earliest future cycle any of this bank's candidates could issue.
-
-        Used by the controller's sleep logic: absent new arrivals and
-        issues elsewhere, no command of this bank can become ready
-        before the returned cycle.  ``None`` when the bank has nothing
-        to do.
-        """
-        bank = self._bank_state()
-
-        if (
-            self.policy.fq_bank_rule
-            and bank.open_row is not None
-            and self.queue
-        ):
-            switch = bank.last_activate + self.inversion_bound
-            if now >= switch:
-                # Committed mode: only the earliest-virtual-finish-time
-                # request's first command can issue from this bank.
-                if not self.policy.arrival_accounting:
-                    self._refresh_finish_times()
-                chosen = self._min_key_request(self.queue)
-                t = self.dram.earliest_issue(
-                    self._next_command_kind(chosen), self.rank, self.bank
-                )
-                if t is None:
-                    return None
-                return t if t > now else now + 1
-            # First-ready until the inversion bound expires; the mode
-            # switch itself is a wake-worthy event.
-            first_ready = self._first_ready_earliest(now)
-            if first_ready is None:
-                return switch if switch > now else now + 1
-            t = first_ready if first_ready < switch else switch
-            return t if t > now else now + 1
-
-        earliest = self._first_ready_earliest(now)
-        if earliest is None:
-            return None
-        return earliest if earliest > now else now + 1
 
     def kind_mask(self) -> int:
         """Legality-kernel mask of the command kinds this bank needs.
@@ -637,19 +615,6 @@ class BankScheduler:
         if n > hits or hits == 0:
             mask |= MASK_PRE
         return mask
-
-    def _first_ready_earliest(self, now: int) -> Optional[int]:
-        """Min earliest-issue over every candidate command of this bank.
-
-        Requests reduce to at most three distinct command kinds in any
-        bank state; the kind set comes from the queue-shape counters
-        and the timing min from the legality kernel, so no
-        queue walk happens here.
-        """
-        mask = self.kind_mask()
-        if not mask:
-            return None
-        return self.dram.kernel.earliest_by_mask(self.vtms_bank_index, mask)
 
     # -- issue notification -------------------------------------------------
 

@@ -9,15 +9,28 @@ folded into each candidate's readiness by the DRAM model.
 
 To keep the scan cheap, the scheduler caches a per-bank lower bound on
 the next cycle that bank could nominate a *ready* command
-(:meth:`BankScheduler.cacheable_wake`) and skips banks whose bound has
-not elapsed.  Skipping is sound because issues elsewhere only push
-DRAM timing later, and every event that could pull a bound earlier —
-an arrival for the bank, an issue on the bank, a refresh, a
-write-drain eligibility flip, any VTMS register change — invalidates
-the cache via :meth:`invalidate` / :meth:`invalidate_all`.  Selection
-is therefore bit-identical to scanning every bank: skipped banks could
-only have contributed non-ready candidates, which the scan discards
-anyway.
+(:meth:`BankScheduler.poll_bound`, or :meth:`BankScheduler.cacheable_wake`
+after a fruitless :meth:`BankScheduler.candidate`) and skips banks
+whose bound has not elapsed.  Each bound is stamped with the channel's
+issue count when it was computed:
+
+* An issue on another bank only moves channel and rank timing later,
+  so a bound with an old stamp stays a sound lower bound, merely
+  possibly early.  A stale bound is therefore still trusted for
+  skipping, but is re-polled (one legality-kernel query) before it
+  admits a :meth:`~BankScheduler.candidate` call or sets the
+  controller's sleep (:meth:`min_wake`).
+* Every event that could pull a bound *earlier* drops it instead: an
+  arrival for the bank or an issue on it (:meth:`invalidate`,
+  :meth:`on_issue`), a refresh or a write-drain flip
+  (:meth:`invalidate_all`), and a VTMS register change for the banks
+  whose bound reads VTMS — committed-FQ banks whose queued requests
+  need different commands, so that the VFT-chosen request decides
+  which one the bound waits for (:meth:`invalidate_vtms_bounds`).
+
+Selection is therefore bit-identical to scanning every bank: skipped
+banks could only have contributed non-ready candidates, which the scan
+discards anyway.
 """
 
 from __future__ import annotations
@@ -36,10 +49,14 @@ class ChannelScheduler:
         self._index = {
             (s.rank, s.bank): i for i, s in enumerate(self.bank_schedulers)
         }
-        #: Per-bank wake bound; None = must poll (never computed, just
-        #: invalidated, or the bank is in a state where no bound may be
-        #: cached).
+        #: Per-bank wake bound; None = must poll (never computed or
+        #: just dropped).
         self._bounds: List[Optional[int]] = [None] * len(self.bank_schedulers)
+        #: Issue count at which each cached bound was computed; a bound
+        #: whose stamp differs from :attr:`_issues` is stale (early).
+        self._stamps: List[int] = [0] * len(self.bank_schedulers)
+        #: Commands issued on this channel (see :meth:`on_issue`).
+        self._issues = 0
         #: Whether channel arbitration keeps the CAS-over-RAS level
         #: above the policy key; key-over-CAS policies (e.g. BLISS)
         #: rank the key first.
@@ -57,11 +74,30 @@ class ChannelScheduler:
         """Drop the cached bound for one bank (its state changed)."""
         self._bounds[self._index[(rank, bank)]] = None
 
+    def on_issue(self, rank: int, bank: int) -> None:
+        """A command issued to (rank, bank): drop its bound, age the rest."""
+        self._issues += 1
+        self._bounds[self._index[(rank, bank)]] = None
+
     def invalidate_all(self) -> None:
-        """Drop every cached bound (refresh, drain flip, VTMS change)."""
+        """Drop every cached bound (refresh, write-drain flip)."""
         bounds = self._bounds
         for i in range(len(bounds)):
             bounds[i] = None
+
+    def invalidate_vtms_bounds(self, now: int) -> None:
+        """Drop the bounds that read VTMS registers (a register moved).
+
+        ``now`` is the latest cycle any cached bound was computed for.
+        A bound that read VTMS (:meth:`BankScheduler.reads_vtms`) keeps
+        reading it until its bank's row, queue or drain gate changes,
+        each of which drops the bound itself, so testing the banks'
+        state at ``now`` finds every such bound.
+        """
+        bounds = self._bounds
+        for i, scheduler in enumerate(self.bank_schedulers):
+            if bounds[i] is not None and scheduler.reads_vtms(now):
+                bounds[i] = None
 
     def select(
         self, now: int, draining_for_refresh: bool = False
@@ -71,19 +107,24 @@ class ChannelScheduler:
         best_level = 2
         best_key: Any = None
         bounds = self._bounds
+        stamps = self._stamps
+        issues = self._issues
         observer = self.observer
         cas_first = self._cas_first
         ready_seen = 0
         for i, scheduler in enumerate(self.bank_schedulers):
             bound = bounds[i]
-            if bound is None:
+            if bound is not None and bound > now:
+                continue
+            if bound is None or stamps[i] != issues:
                 # Pre-candidate gate: one legality-kernel query proves
-                # most just-invalidated banks have nothing ready, so
-                # the full candidate selection never runs for them.
+                # most dropped or stale-early banks have nothing ready,
+                # so the full candidate selection never runs for them.
                 bound = scheduler.poll_bound(now)
                 bounds[i] = bound
-            if bound > now:
-                continue
+                stamps[i] = issues
+                if bound > now:
+                    continue
             cand = scheduler.candidate(now, draining_for_refresh)
             if cand is None or not cand.ready:
                 bounds[i] = scheduler.cacheable_wake(now)
@@ -103,26 +144,34 @@ class ChannelScheduler:
         return best
 
     def min_wake(self, now: int) -> Optional[int]:
-        """Earliest cached (or computed) wake bound across all banks.
+        """First cycle ≥ ``now`` at which some bank may have a ready command.
 
-        Used by the controller's sleep logic right after a fruitless
-        :meth:`select`, when every pollable bank's bound is fresh.  A
-        cached bound can only be conservative (early), which at worst
-        wakes the controller for a no-op scan.  A bank left without a
-        cached bound (the write-gated committed-FQ state, the only one
-        whose :meth:`BankScheduler.cacheable_wake` is ``None``) has its
-        bound computed here.
+        The controller's sleep target, absent arrivals and other
+        bound-dropping events.  Dropped bounds are polled; stale ones
+        are refreshed lazily, smallest first.  A refresh can only move
+        a stale bound later, so once the smallest bound is fresh it is
+        the exact minimum and the remaining stale bounds need no query.
+        Returns ``now`` when a bank may be ready at once and ``None``
+        when no bank has anything to nominate.
         """
-        wake: Optional[int] = None
         bounds = self._bounds
-        for i, scheduler in enumerate(self.bank_schedulers):
-            bound = bounds[i]
-            if bound is None:
-                bound = scheduler.earliest_possible_issue(now)
+        stamps = self._stamps
+        issues = self._issues
+        schedulers = self.bank_schedulers
+        while True:
+            wake = IDLE_BOUND
+            pick = -1
+            for i, bound in enumerate(bounds):
                 if bound is None:
-                    continue
-            elif bound >= IDLE_BOUND:
-                continue
-            if wake is None or bound < wake:
-                wake = bound
-        return wake
+                    bound = schedulers[i].poll_bound(now)
+                    bounds[i] = bound
+                    stamps[i] = issues
+                if bound < wake:
+                    wake = bound
+                    pick = i
+            if pick < 0:
+                return None
+            if stamps[pick] == issues:
+                return wake if wake > now else now
+            bounds[pick] = schedulers[pick].poll_bound(now)
+            stamps[pick] = issues

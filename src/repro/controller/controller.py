@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque, namedtuple
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Deque, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.policies import FR_FCFS
 from ..core.shares import equal_shares, validate_shares
@@ -42,12 +43,19 @@ class ControllerStats:
         self.cas_cycles = [0] * num_threads
         self.requests_accepted = [0] * num_threads
         self.requests_nacked = [0] * num_threads
-        self.commands_issued: Dict[CommandType, int] = {k: 0 for k in CommandType}
+        #: Commands issued per kind, indexed by ``CommandType.slot``.
+        self.command_counts = [0] * len(CommandType)
         #: Per-thread histogram: bucket i counts latencies <= bound i,
         #: with one trailing overflow bucket.
         self.latency_histogram = [
             [0] * (len(self.LATENCY_BUCKETS) + 1) for _ in range(num_threads)
         ]
+
+    @property
+    def commands_issued(self) -> Mapping[CommandType, int]:
+        """Commands issued per kind (a read-only snapshot)."""
+        counts = self.command_counts
+        return MappingProxyType({kind: counts[kind.slot] for kind in CommandType})
 
     def mean_read_latency(self, thread_id: int) -> float:
         if self.read_count[thread_id] == 0:
@@ -167,7 +175,9 @@ class MemoryController:
         #: Min-heap of (completion_time, seq, request) for in-flight data.
         self._in_flight: List[Tuple[int, int, MemoryRequest]] = []
         #: Scheduling sleep: no command can become ready before this
-        #: cycle unless a new request arrives (which resets it).
+        #: cycle unless a new request arrives or the write-drain gate
+        #: flips (both reset it).  Set after every scheduling decision,
+        #: issued or not, from the channel scheduler's exact bank bounds.
         self._sleep_until = 0
         #: Write-drain policy: "fcfs" schedules writes like reads (the
         #: paper's behaviour); "watermark" holds writebacks until the
@@ -185,10 +195,10 @@ class MemoryController:
         #: Total size of the _pending sets, kept in lockstep so the
         #: busy/has-work probes are O(1).
         self._pending_total = 0
-        #: FQ policies cache wake bounds that read VTMS registers, so
-        #: every register mutation (all flow through try_enqueue and
-        #: _issue) must drop every cached bound, not just the touched
-        #: bank's.
+        #: Under the FQ bank rule a committed bank's wake bound can read
+        #: VTMS registers, so every register change (all flow through
+        #: try_enqueue and _issue) must drop the bounds that did; no
+        #: other bound reads VTMS.
         self._fq_invalidate = policy.fq_bank_rule and self.vtms is not None
         #: Stateful policies (BLISS, MISE, ...) get lifecycle hooks;
         #: None for the stateless paper policies, so the hook sites
@@ -213,6 +223,8 @@ class MemoryController:
         if not self.buffers.reserve(request):
             self.stats.requests_nacked[request.thread_id] += 1
             return False
+        vtms = self.vtms
+        epoch = vtms.global_epoch if vtms is not None else 0
         request.arrival_time = self.now
         request.rank, request.bank, request.row, request.column = (
             self.address_map.decode(request.address)
@@ -233,15 +245,15 @@ class MemoryController:
                 self.dram.timing.service_closed,
             )
         self._scheduler_index[(request.rank, request.bank)].add(request)
-        if self._fq_invalidate:
-            # The arrival may move VTMS registers (oldest-arrival reset,
-            # arrival accounting), which every bank's wake bound reads.
-            self.channel_scheduler.invalidate_all()
-        else:
-            self.channel_scheduler.invalidate(request.rank, request.bank)
+        self.channel_scheduler.invalidate(request.rank, request.bank)
         self._pending[request.thread_id].add(request)
         self._pending_total += 1
         self._refresh_oldest_arrival(request.thread_id)
+        if self._fq_invalidate and vtms is not None and vtms.global_epoch != epoch:
+            # The arrival moved VTMS registers (oldest-arrival reset,
+            # arrival accounting).  Bounds were computed by ticks up to
+            # now, each polling at most one cycle ahead.
+            self.channel_scheduler.invalidate_vtms_bounds(self.now + 1)
         self.stats.requests_accepted[request.thread_id] += 1
         self._sleep_until = 0
         if self.observer is not None:
@@ -303,9 +315,7 @@ class MemoryController:
                     )
                     if cand is not None:
                         self._issue(cand, now)
-                        self._sleep_until = 0
-                    else:
-                        self._sleep_until = self._compute_sleep(now)
+                    self._sleep_until = self._compute_sleep(now + 1)
 
         if self.vtms is not None:
             self.vtms.tick(in_refresh=in_refresh)
@@ -329,15 +339,15 @@ class MemoryController:
             scheduler.writes_eligible = eligible
         return True
 
-    def _compute_sleep(self, now: int) -> int:
-        """First future cycle a command could become ready (no arrivals)."""
-        wake = self.channel_scheduler.min_wake(now)
+    def _compute_sleep(self, start: int) -> int:
+        """First cycle ≥ ``start`` a command could become ready (no arrivals)."""
+        wake = self.channel_scheduler.min_wake(start)
         if wake is None:
             # No queued work at all: sleep until something arrives
             # (arrival resets the sleep) or a refresh falls due.
-            wake = now + self.dram.timing.t_refi
+            wake = start + self.dram.timing.t_refi
         if self.dram.enable_refresh and self.dram.next_refresh_due is not None:
-            wake = min(wake, max(now + 1, self.dram.next_refresh_due))
+            wake = min(wake, max(start, self.dram.next_refresh_due))
         return wake
 
     def _issue(self, cand: CandidateCommand, now: int) -> None:
@@ -347,16 +357,13 @@ class MemoryController:
             # Before any queue or row mutation, so the tracer's
             # inversion probe sees the queue the selection saw.
             self.observer.on_command(scheduler, cand, now)
-        self.stats.commands_issued[cand.kind] += 1
+        self.stats.command_counts[cand.kind.slot] += 1
         scheduler.on_issue(cand, now)
         if self._policy_hooks is not None:
             self._policy_hooks.on_issue(cand, now)
-        if self._fq_invalidate:
-            # The issue moves VTMS registers (service accounting below,
-            # oldest-arrival refresh on CAS); see _fq_invalidate.
-            self.channel_scheduler.invalidate_all()
-        else:
-            self.channel_scheduler.invalidate(cand.rank, cand.bank)
+        self.channel_scheduler.on_issue(cand.rank, cand.bank)
+        vtms = self.vtms
+        epoch = vtms.global_epoch if vtms is not None else 0
 
         if (
             self.vtms is not None
@@ -388,6 +395,10 @@ class MemoryController:
             pending.discard(request)
             self._pending_total -= before - len(pending)
             self._refresh_oldest_arrival(request.thread_id)
+        if self._fq_invalidate and vtms is not None and vtms.global_epoch != epoch:
+            # Service accounting or the oldest-arrival refresh moved
+            # VTMS registers; see _fq_invalidate.
+            self.channel_scheduler.invalidate_vtms_bounds(now)
 
     def _pop_completed(self, now: int) -> List[MemoryRequest]:
         completed: List[MemoryRequest] = []

@@ -54,12 +54,17 @@ class ThreadVtms:
         self._scaled_closed = timing.service_closed * inv
         self._scaled_conflict = timing.service_conflict * inv
         self._scaled_channel = timing.burst * inv
-        self._scaled_update = {
+        #: Table 4 update times scaled by 1/φ, indexed by
+        #: ``CommandType.slot`` (REFRESH never charges a thread).
+        updates = {
             CommandType.PRECHARGE: timing.update_precharge * inv,
             CommandType.ACTIVATE: timing.update_activate * inv,
             CommandType.READ: timing.update_read * inv,
             CommandType.WRITE: timing.update_write * inv,
         }
+        self._scaled_update: List[float] = [
+            updates.get(kind, 0.0) for kind in CommandType
+        ]
 
     def scaled_bank_service(self, bank_service: int) -> float:
         """``B.L / φ`` for an arbitrary bank service time."""
@@ -129,7 +134,7 @@ class ThreadVtms:
             arrival: ``a_i^k`` — arrival time of the request the
                 command serves (virtual clock units).
         """
-        scaled = self._scaled_update[kind]
+        scaled = self._scaled_update[kind.slot]
         self.bank_finish[bank] = max(arrival, self.bank_finish[bank]) + scaled
         if kind.is_cas:
             self.channel_finish = (

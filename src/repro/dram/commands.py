@@ -18,13 +18,17 @@ class CommandType(enum.Enum):
     ``is_cas`` (column / data-moving) and ``is_ras`` (row / bank
     management) are plain member attributes, not properties: the
     scheduler consults them on every candidate comparison, making them
-    one of the hottest reads in the simulator.
+    one of the hottest reads in the simulator.  ``slot`` is the
+    member's definition index, so per-kind counters and tables can be
+    lists indexed by it instead of dicts keyed by the member (hashing
+    an enum member runs Python-level ``Enum.__hash__``).
     """
 
     # Bare annotations declare non-member instance attributes (filled
     # in below), so type checkers know every member carries them.
     is_cas: bool
     is_ras: bool
+    slot: int
 
     ACTIVATE = "activate"
     PRECHARGE = "precharge"
@@ -33,10 +37,11 @@ class CommandType(enum.Enum):
     REFRESH = "refresh"
 
 
-for _member in CommandType:
+for _slot, _member in enumerate(CommandType):
+    _member.slot = _slot
     _member.is_cas = _member in (CommandType.READ, CommandType.WRITE)
     _member.is_ras = _member in (CommandType.ACTIVATE, CommandType.PRECHARGE)
-del _member
+del _slot, _member
 
 
 @dataclass

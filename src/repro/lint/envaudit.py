@@ -22,7 +22,7 @@ legitimately exports knobs to worker processes.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import Finding, LintPass, SourceFile, const_str
 from .project import Project, module_constants

@@ -14,10 +14,12 @@ a time:
   functions the parallel engine forks into worker processes — the
   classic "works until REPRO_JOBS>1" trap.
 
-Roots are the scheduler's candidate-selection entry points, every
-function in the legality module, the wake index (every event iteration
-goes through it), and the event engine's targeting and sparse dispatch
-in ``sim/system.py``; the pass closes over same-class ``self.*()`` and
+Roots are the bank scheduler's candidate-selection and wake-bound
+entry points, the channel scheduler's arbitration and bound cache,
+every function in the legality module, the wake index (every event
+iteration goes through it), and the event engine's targeting, delivery
+and sparse dispatch in ``sim/system.py``; the pass closes over
+same-class ``self.*()`` and
 same-module calls, so a helper extracted from a hot loop stays covered
 without touching this file.  A named root with no function behind it
 is itself a finding: a renamed or deleted hot path would otherwise
@@ -39,8 +41,19 @@ SCHEDULER_ROOTS = (
     "candidate",
     "poll_bound",
     "cacheable_wake",
-    "earliest_possible_issue",
     "kind_mask",
+    "reads_vtms",
+)
+
+#: Arbitration and the stamped bound cache in the channel scheduler:
+#: every controller tick and every issue go through them.
+CHANNEL_FILE = "channel_scheduler.py"
+CHANNEL_CLASS = "ChannelScheduler"
+CHANNEL_ROOTS = (
+    "select",
+    "min_wake",
+    "on_issue",
+    "invalidate_vtms_bounds",
 )
 
 #: Every function in this module is a hot kernel (construction aside).
@@ -61,6 +74,7 @@ SPARSE_ROOTS = (
     "_skip_span",
     "_acceptance_due",
     "_wb_unblock_due",
+    "_deliver_to_controller",
 )
 
 MUTABLE_CALLS = {
@@ -250,6 +264,8 @@ class HotPathPurityPass(LintPass):
         name = file.parts[-1]
         if name == SCHEDULER_FILE:
             roots = [(SCHEDULER_CLASS, m) for m in SCHEDULER_ROOTS]
+        elif name == CHANNEL_FILE:
+            roots = [(CHANNEL_CLASS, m) for m in CHANNEL_ROOTS]
         elif name == SYSTEM_FILE:
             roots = [(SYSTEM_CLASS, m) for m in SPARSE_ROOTS]
         elif name == KERNEL_FILE:

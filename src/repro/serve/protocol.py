@@ -93,6 +93,12 @@ class ProtocolServer:
         self.address: Optional[str] = None
         self.shutdown_requested = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Live connection handlers and their writers.  ``stop`` closes
+        #: and awaits them: a handler left to be cancelled at loop
+        #: teardown makes Python 3.11's ``StreamReaderProtocol`` done
+        #: callback call ``task.exception()`` on a cancelled task,
+        #: which logs a spurious "Exception in callback" traceback.
+        self._handlers: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
 
     async def start(self) -> str:
         """Bind, write the address file, and begin serving; returns the address."""
@@ -118,6 +124,14 @@ class ProtocolServer:
         server = self._server
         if server is not None:
             server.close()
+            handlers = list(self._handlers.items())
+            for _, writer in handlers:
+                # EOF for the handler's pending readline: it returns
+                # normally instead of being cancelled later.
+                writer.close()
+            await asyncio.gather(
+                *(task for task, _ in handlers), return_exceptions=True
+            )
             await server.wait_closed()
             self._server = None
         try:
@@ -128,6 +142,9 @@ class ProtocolServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._handlers[task] = writer
         try:
             while True:
                 line = await reader.readline()
@@ -143,6 +160,8 @@ class ProtocolServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            if task is not None:
+                self._handlers.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -21,7 +21,7 @@ the document alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.parallel import RunSpec, group_spec
 

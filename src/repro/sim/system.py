@@ -168,12 +168,10 @@ class CmpSystem:
         self._to_controller: List[Tuple[int, int, MemoryRequest]] = []
         #: Fills in flight toward cores: (deliver, seq, thread, line).
         self._to_cores: List[Tuple[int, int, int, int]] = []
-        self._in_transit: List[List[Dict[RequestKind, int]]] = [
-            [
-                {RequestKind.READ: 0, RequestKind.WRITE: 0}
-                for _ in range(config.num_channels)
-            ]
-            for _ in range(config.num_cores)
+        #: Writebacks in flight toward each controller, indexed
+        #: [core][channel] — the third term of the writeback credit check.
+        self._writes_in_transit: List[List[int]] = [
+            [0] * config.num_channels for _ in range(config.num_cores)
         ]
         #: Interface queues: requests that arrived at their channel's
         #: controller but were NACKed (buffer partition full), indexed
@@ -192,10 +190,13 @@ class CmpSystem:
         self._awaiting_by_channel: List[Set[int]] = [
             set() for _ in range(config.num_channels)
         ]
-        #: Per-channel buffer version at the last all-rejected
-        #: acceptance probe (-1 = must probe).  Acceptance can only
-        #: flip to True when the channel's buffer occupancy moves, so
-        #: an unchanged version proves the probe would repeat itself.
+        #: Per-channel buffer version at which every waiting interface
+        #: queue head was last seen rejected (-1 = must probe).  A head
+        #: is accepted only once its thread's buffer occupancy drops,
+        #: which moves the version, so an unchanged version — with no
+        #: new head since — proves a probe would repeat itself.  Shared
+        #: by the delivery retry pass and the event engine's acceptance
+        #: probe.
         self._probe_versions: List[int] = [-1] * config.num_channels
         #: Writes sitting in each interface queue, indexed
         #: [channel][thread] — consulted on every writeback submit for
@@ -380,25 +381,24 @@ class CmpSystem:
     # -- flow control ------------------------------------------------------
 
     def _make_submit(self, core_id: int):
+        channel_of = self.address_map.channel_of
+        writes_in_transit = self._writes_in_transit[core_id]
+
         def submit(request: MemoryRequest) -> bool:
-            request.channel = self.address_map.channel_of(request.address)
+            channel = request.channel = channel_of(request.address)
             if request.kind is RequestKind.WRITE:
                 # Writebacks are credit-controlled end to end: the core's
                 # writeback queue absorbs NACK back-pressure, exactly the
                 # paper's per-thread write-buffer partitioning.
-                controller = self.controllers[request.channel]
-                in_transit = self._in_transit[core_id][request.channel][
-                    RequestKind.WRITE
-                ]
-                waiting_writes = self._awaiting_writes[request.channel][core_id]
+                buffers = self.controllers[channel].buffers
                 occupied = (
-                    controller.buffers.occupancy(core_id, RequestKind.WRITE)
-                    + in_transit
-                    + waiting_writes
+                    buffers.occupancy(core_id, RequestKind.WRITE)
+                    + writes_in_transit[channel]
+                    + self._awaiting_writes[channel][core_id]
                 )
-                if occupied >= controller.buffers.write_capacity:
+                if occupied >= buffers.write_capacity:
                     return False
-                self._in_transit[core_id][request.channel][RequestKind.WRITE] += 1
+                writes_in_transit[channel] += 1
             # Reads are bounded by the core's MSHR file; requests that
             # find the transaction-buffer partition full on arrival wait
             # at the controller interface and retry each cycle.
@@ -417,16 +417,22 @@ class CmpSystem:
         interface queue (the paper's NACK back-pressure); it retries
         every cycle and enters in arrival order.
         """
-        while self._to_controller and self._to_controller[0][0] <= now:
-            _, _, request = heapq.heappop(self._to_controller)
+        to_controller = self._to_controller
+        versions = self._probe_versions
+        while to_controller and to_controller[0][0] <= now:
+            _, _, request = heapq.heappop(to_controller)
+            channel, thread_id = request.channel, request.thread_id
             if request.kind is RequestKind.WRITE:
-                self._in_transit[request.thread_id][request.channel][
-                    request.kind
-                ] -= 1
-                self._awaiting_writes[request.channel][request.thread_id] += 1
-            self._awaiting_mc[request.channel][request.thread_id].append(request)
-            self._awaiting_nonempty.add((request.channel, request.thread_id))
-            self._awaiting_by_channel[request.channel].add(request.thread_id)
+                self._writes_in_transit[thread_id][channel] -= 1
+                self._awaiting_writes[channel][thread_id] += 1
+            queue = self._awaiting_mc[channel][thread_id]
+            if not queue:
+                # A new head: the channel's rejected-at verdict no
+                # longer covers every waiting head.
+                versions[channel] = -1
+            queue.append(request)
+            self._awaiting_nonempty.add((channel, thread_id))
+            self._awaiting_by_channel[channel].add(thread_id)
         if not self._awaiting_nonempty:
             return
         # Retry pass, channel-major then thread order — the same
@@ -443,8 +449,15 @@ class CmpSystem:
             if not threads:
                 continue
             controller = self.controllers[channel]
+            buffers = controller.buffers
+            if buffers.version == versions[channel]:
+                # Every head here was rejected at this occupancy and no
+                # new head arrived: each queue takes its one NACK.
+                for thread_id in threads:  # det: allow(commutative counter adds, order-free)
+                    controller.skip_interface_nacks(thread_id, 1)
+                continue
             channel_queues = self._awaiting_mc[channel]
-            can_accept = controller.buffers.can_accept
+            can_accept = buffers.can_accept
             drained: List[int] = []
             for thread_id in range(num_threads):
                 if thread_id not in threads:
@@ -472,6 +485,9 @@ class CmpSystem:
             for thread_id in drained:
                 threads.discard(thread_id)
                 self._awaiting_nonempty.discard((channel, thread_id))
+            # Each queue still waiting ended its loop on a rejection, and
+            # acceptances move only the accepting thread's occupancy.
+            versions[channel] = buffers.version
 
     # -- main loop --------------------------------------------------------------
 
@@ -554,13 +570,13 @@ class CmpSystem:
         line = core.hierarchy.pending_writebacks[0]
         address = core.hierarchy.line_address(line)
         channel = self.address_map.channel_of(address)
-        controller = self.controllers[channel]
+        buffers = self.controllers[channel].buffers
         occupied = (
-            controller.buffers.occupancy(core.core_id, RequestKind.WRITE)
-            + self._in_transit[core.core_id][channel][RequestKind.WRITE]
+            buffers.occupancy(core.core_id, RequestKind.WRITE)
+            + self._writes_in_transit[core.core_id][channel]
             + self._awaiting_writes[channel][core.core_id]
         )
-        return occupied >= controller.buffers.write_capacity
+        return occupied >= buffers.write_capacity
 
     def _acceptance_due(self) -> bool:
         """True when some NACKed interface-queue head would be accepted.

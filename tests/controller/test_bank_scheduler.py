@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controller.address_map import AddressMap
-from repro.controller.bank_scheduler import BankScheduler
+from repro.controller.bank_scheduler import IDLE_BOUND, BankScheduler
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.policies import FQ_VFTF, FR_FCFS, FR_VFTF
 from repro.core.vtms import VtmsState
@@ -181,20 +181,23 @@ class TestChargeAccounting:
 
 
 class TestEarliestPossibleIssue:
-    def test_empty_and_closed_is_none(self, dram):
+    """The wake bound the channel scheduler caches after a fruitless scan."""
+
+    def test_empty_and_closed_is_idle(self, dram):
         scheduler, _ = make_scheduler(dram)
-        assert scheduler.earliest_possible_issue(0) is None
+        assert scheduler.cacheable_wake(0) == IDLE_BOUND
 
     def test_closed_with_request_is_immediate(self, dram):
         scheduler, _ = make_scheduler(dram)
         scheduler.add(req(0, 5))
-        assert scheduler.earliest_possible_issue(0) == 1
+        assert scheduler.poll_bound(0) == 0
+        assert scheduler.cacheable_wake(0) == 1
 
     def test_open_row_hit_waits_for_trcd(self, dram, timing):
         scheduler, _ = make_scheduler(dram)
         scheduler.add(req(0, 5))
         dram.issue(CommandType.ACTIVATE, 0, 0, 5, 0)
-        assert scheduler.earliest_possible_issue(1) == timing.t_rcd
+        assert scheduler.cacheable_wake(1) == timing.t_rcd
 
     def test_requires_vtms_for_vtms_policy(self, dram):
         with pytest.raises(ValueError):

@@ -5,8 +5,12 @@ Arbitrary request streams drive the controller with a
 sanitizer sees every command and every refresh: every command sequence
 any policy emits must satisfy every bank, rank, and channel constraint,
 refresh included, and every accepted request must eventually complete
-(no starvation, no lost requests).
+(no starvation, no lost requests).  The same streams check the wake-up
+contract: a controller never sleeps through a cycle at which some bank
+offers a ready command.
 """
+
+import copy
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,19 +44,12 @@ request_strategy = st.tuples(
 )
 
 
-@pytest.mark.parametrize("policy", ["FR-FCFS", "FR-VFTF", "FQ-VFTF"])
-@given(stream=st.lists(request_strategy, min_size=1, max_size=40))
-@example(stream=CROSSING_STREAM)
-@settings(max_examples=25, deadline=None)
-def test_no_timing_violations_and_all_complete(policy, stream):
-    timing = DDR2Timing(t_refi=T_REFI)
-    dram = DramSystem(timing, enable_refresh=True)
-    controller = MemoryController(
-        dram, AMAP, num_threads=2, policy=get_policy(policy)
-    )
-    checker = RunChecker(controller)
-    log = CommandLog()
-    controller.observer = Fanout(checker, log)
+def _drive(controller, stream, after_tick):
+    """Feed ``stream`` and tick every cycle until everything completes.
+
+    ``after_tick(now)`` runs after each tick.  Returns the first cycle
+    not ticked.
+    """
     accepted = []
     now = 0
     pending = list(stream)
@@ -72,9 +69,28 @@ def test_no_timing_violations_and_all_complete(policy, stream):
         if pending:
             head = pending[0]
             pending[0] = head[:5] + (head[5] - 1,)
-        controller.tick(now)  # raises on any protocol violation
+        controller.tick(now)
+        after_tick(now)
         now += 1
         assert now < 500_000, "requests starved"
+    return now
+
+
+@pytest.mark.parametrize("policy", ["FR-FCFS", "FR-VFTF", "FQ-VFTF"])
+@given(stream=st.lists(request_strategy, min_size=1, max_size=40))
+@example(stream=CROSSING_STREAM)
+@settings(max_examples=25, deadline=None)
+def test_no_timing_violations_and_all_complete(policy, stream):
+    timing = DDR2Timing(t_refi=T_REFI)
+    dram = DramSystem(timing, enable_refresh=True)
+    controller = MemoryController(
+        dram, AMAP, num_threads=2, policy=get_policy(policy)
+    )
+    checker = RunChecker(controller)
+    log = CommandLog()
+    controller.observer = Fanout(checker, log)
+    # Every tick raises on a protocol violation.
+    now = _drive(controller, stream, lambda now: None)
     # Liveness: every accepted request finished and freed its buffer.
     for extra in range(5):
         controller.tick(now + extra)
@@ -120,3 +136,47 @@ def test_fcfs_no_thread_starves_within_queue(stream, seed_policy):
     # Generous bound: full conflict service per request, serialized.
     per_request = dram.timing.t_rc + dram.timing.t_rp + dram.timing.burst
     assert worst <= len(accepted) * per_request + 1000
+
+
+@pytest.mark.parametrize(
+    "policy, write_drain",
+    [("FR-FCFS", "fcfs"), ("FR-VFTF", "fcfs"), ("FQ-VFTF", "fcfs"),
+     ("FQ-VFTF", "watermark")],
+)
+@given(stream=st.lists(request_strategy, min_size=1, max_size=30))
+@example(stream=CROSSING_STREAM)
+@settings(max_examples=15, deadline=None)
+def test_sleep_skips_only_cycles_without_a_ready_command(
+    policy, write_drain, stream
+):
+    """After every tick, no cycle strictly between ``now`` and
+    ``_sleep_until`` has a ready candidate.  Each new sleep is probed
+    cycle by cycle on a deep copy of the controller, asking every bank
+    scheduler directly, with no cached bound in the way."""
+    dram = DramSystem(DDR2Timing(t_refi=T_REFI), enable_refresh=True)
+    controller = MemoryController(
+        dram, AMAP, num_threads=2, policy=get_policy(policy),
+        write_drain=write_drain,
+    )
+    probed = [None]
+
+    def probe(now):
+        sleep = controller._sleep_until
+        stats = controller.stats
+        # A window needs probing again only once the sleep or the queued
+        # and issued work changed; completions move no readiness.
+        state = (sleep, sum(stats.requests_accepted), sum(stats.command_counts))
+        if sleep <= now + 1 or state == probed[0]:
+            return
+        probed[0] = state
+        frozen = copy.deepcopy(controller)
+        for t in range(now + 1, sleep):
+            draining = frozen.dram.refresh_due(t)
+            for scheduler in frozen.bank_schedulers:
+                cand = scheduler.candidate(t, draining)
+                assert cand is None or not cand.ready, (
+                    f"slept through a ready {cand.kind.name} on bank "
+                    f"{cand.bank} at {t} (tick {now}, sleep until {sleep})"
+                )
+
+    _drive(controller, stream, probe)

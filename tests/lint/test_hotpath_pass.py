@@ -5,7 +5,7 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import run_lint
-from repro.lint.hotpath import SCHEDULER_ROOTS, SPARSE_ROOTS
+from repro.lint.hotpath import CHANNEL_ROOTS, SCHEDULER_ROOTS, SPARSE_ROOTS
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -33,6 +33,10 @@ def scheduler(source):
 
 def system(source):
     return {"system.py": complete(source, SPARSE_ROOTS)}
+
+
+def channel(source):
+    return {"channel_scheduler.py": complete(source, CHANNEL_ROOTS)}
 
 
 class TestSchedulerRoots:
@@ -247,10 +251,39 @@ class TestSparseDispatch:
         assert run_rule("HOT500", project) == []
 
 
+class TestChannelRoots:
+    def test_bound_refresh_helper_is_hot(self, project_of, run_rule):
+        project = project_of(channel("""
+                class ChannelScheduler:
+                    def min_wake(self, now):
+                        return self._refresh(now)
+
+                    def _refresh(self, now):
+                        return sorted(self._bounds)[0]
+            """))
+        findings = run_rule("HOT500", project)
+        assert len(findings) == 1
+        assert "sorted()" in findings[0].message
+        assert "ChannelScheduler._refresh" in findings[0].message
+
+    def test_stale_root_is_flagged(self, project_of, run_rule):
+        roots = [r for r in CHANNEL_ROOTS if r != "min_wake"]
+        project = project_of({"channel_scheduler.py": complete("""
+                class ChannelScheduler:
+                    def min_bound(self, now):
+                        return now
+            """, roots)})
+        findings = run_rule("HOT500", project)
+        assert len(findings) == 1
+        assert "ChannelScheduler.min_wake()" in findings[0].message
+        assert "stale root" in findings[0].message
+
+
 class TestRealTree:
     def test_every_root_names_a_live_function(self):
         files = [
             SRC / "controller" / "bank_scheduler.py",
+            SRC / "controller" / "channel_scheduler.py",
             SRC / "sim" / "system.py",
             SRC / "dram" / "legality.py",
             SRC / "sim" / "wakeindex.py",

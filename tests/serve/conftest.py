@@ -8,8 +8,6 @@ instantly, keeping the service tests fast while exercising the full
 record/round-trip machinery with genuine result payloads.
 """
 
-import asyncio
-
 import pytest
 
 from repro.sim import parallel, runner
@@ -44,14 +42,12 @@ class InstantExecutor:
 
     ``crash_first`` job executions raise
     :class:`~repro.sim.retry.WorkerCrashError` once each (the chaos
-    knob); ``delay_s`` adds a deterministic per-job sleep so fairness
-    tests can measure busy-second shares.
+    knob).
     """
 
-    def __init__(self, result, crash_first=0, delay_s=0.0):
+    def __init__(self, result, crash_first=0):
         self.result = result
         self.crash_first = crash_first
-        self.delay_s = delay_s
         self.crashed = set()
         self.executions = 0
         self.pids = {}
@@ -63,6 +59,4 @@ class InstantExecutor:
         if len(self.crashed) < self.crash_first and job.job_id not in self.crashed:
             self.crashed.add(job.job_id)
             raise WorkerCrashError(f"chaos kill of job {job.job_id}")
-        if self.delay_s:
-            await asyncio.sleep(self.delay_s)
         return self.result

@@ -155,6 +155,46 @@ class TestProtocolOps:
         asyncio.run(with_server(tmp_path, tiny_result, scenario))
         assert not (tmp_path / ADDRESS_FILE).exists()  # removed on stop
 
+    def test_stop_with_an_idle_connection_logs_nothing(
+        self, tmp_path, tiny_result
+    ):
+        """A client still connected at shutdown: ``stop`` ends its
+        handler, so loop teardown cancels no handler task (which Python
+        3.11 reports as "Exception in callback ... CancelledError")."""
+        reported = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            service = ExperimentService(
+                tmp_path, workers=1,
+                retry_policy=RetryPolicy(retries=0, base_delay_s=0.0),
+                executor=InstantExecutor(tiny_result),
+            )
+            server = ProtocolServer(service, tmp_path)
+            await service.start()
+            address = await server.start()
+            if address.startswith("unix:"):
+                reader, writer = await asyncio.open_unix_connection(
+                    address[len("unix:"):]
+                )
+            else:
+                _, host, port = address.split(":", 2)
+                reader, writer = await asyncio.open_connection(host, int(port))
+            # One round trip: the handler is now idle in its next read.
+            writer.write(b'{"op": "ping"}\n')
+            assert json.loads(await reader.readline())["pong"] is True
+            await server.stop()
+            await service.stop(drain=False)
+            # stop() ended the handler itself, hanging up on the client.
+            assert await asyncio.wait_for(reader.readline(), timeout=5) == b""
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(scenario())
+        assert reported == []
+
 
 class TestOfflineResultsCli:
     @pytest.fixture()

@@ -279,21 +279,32 @@ class TestDispatchWakeups:
 
 
 class TestFairnessDogfood:
-    def test_two_tenant_busy_shares_track_phi(self, tmp_path, tiny_result):
+    def test_two_tenant_busy_shares_track_phi(
+        self, tmp_path, tiny_result, monkeypatch
+    ):
         """The acceptance check: φ=2:1 tenants, both backlogged from
         submit to drain, receive worker time within 10% of their
-        configured shares — measured by the service's own accounting."""
+        configured shares — measured by the service's own accounting.
+
+        The service reads host time through ``repro.serve.clock``; a
+        fake clock that each job advances by a fixed cost makes every
+        job's busy time exact, so the shares do not depend on how the
+        host schedules the event loop."""
+        job_cost_s = 0.01
+        fake_now = [0.0]
+        monkeypatch.setattr("repro.serve.clock.monotonic", lambda: fake_now[0])
 
         class Ordered(InstantExecutor):
-            def __init__(self, result, delay_s):
-                super().__init__(result, delay_s=delay_s)
+            def __init__(self, result):
+                super().__init__(result)
                 self.order = []
 
             async def run(self, job):
                 self.order.append(job.tenant)
+                fake_now[0] += job_cost_s
                 return await super().run(job)
 
-        executor = Ordered(tiny_result, delay_s=0.01)
+        executor = Ordered(tiny_result)
         service = ExperimentService(
             tmp_path, workers=1, retry_policy=NO_RETRY, executor=executor,
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.timing import DDR2Timing
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem
 from repro.workloads.spec2000 import profile
@@ -73,6 +74,41 @@ class TestFastForwardEquivalence:
         result = system.run(50_000, warmup=0)
         assert result.cycles == 50_000
         assert result.threads[0].cycles == 50_000
+
+
+class TestExactWakeups:
+    def test_every_self_set_wake_finds_a_command(self):
+        """Under FR-FCFS the bank bounds behind the controller's sleep
+        are exact, so a tick woken by ``_sleep_until`` always issues —
+        unless a request arrived (which resets the sleep) or a refresh
+        is draining.  A short tREFI puts refreshes in the window."""
+        config = SystemConfig(
+            num_cores=2, policy="FR-FCFS", timing=DDR2Timing(t_refi=3_000)
+        )
+        system = CmpSystem(config, [profile("vpr"), profile("art")])
+        controller = system.controller
+        tick = controller.tick
+        select = controller.channel_scheduler.select
+        woken = [False]
+        outcomes = []
+
+        def watched_tick(now):
+            # An arrival this cycle has already reset the sleep to 0.
+            woken[0] = controller._sleep_until == now
+            return tick(now)
+
+        def watched_select(now, draining_for_refresh=False):
+            cand = select(now, draining_for_refresh)
+            if woken[0] and not draining_for_refresh:
+                outcomes.append((now, cand is not None))
+            return cand
+
+        controller.tick = watched_tick
+        controller.channel_scheduler.select = watched_select
+        system.run(12_000, warmup=3_000)
+        assert system.dram.refresh_count >= 4
+        assert len(outcomes) > 300
+        assert [now for now, issued in outcomes if not issued] == []
 
 
 class TestConservation:
