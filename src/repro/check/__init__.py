@@ -8,8 +8,8 @@ the code they check:
 * :mod:`repro.check.invariants` — a scheduler invariant checker for
   the fair-queuing properties (VFT monotonicity, virtual-clock
   monotonicity, bounded priority inversion, request conservation).
-* the DET rules of :mod:`repro.lint` — a static determinism lint run
-  in CI (``repro-fqms lint``; not imported here).
+* :mod:`repro.lint` — the static determinism lint (DET000–DET009),
+  run in CI as ``python -m repro.lint src tools``; not imported here.
 
 Checks are opt-in: pass ``--check`` on the CLI or set ``REPRO_CHECK=1``
 in the environment.  The environment variable is the propagation

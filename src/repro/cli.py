@@ -183,10 +183,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
-        # The lint subcommand has its own argument surface (paths,
-        # --format, --rules, ...); dispatch before the experiment parser
-        # so its choices= validation never sees it.
-        from .lint.cli import main as lint_main
+        # The determinism lint takes only paths; dispatch before the
+        # experiment parser so its choices= validation never sees them.
+        from .lint import main as lint_main
 
         return lint_main(argv[1:])
     if argv and argv[0] in ("serve", "submit", "status", "results", "sweep"):
@@ -201,7 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-fqms",
         description="Fair Queuing Memory Systems (MICRO 2006) reproduction; "
-        "'repro-fqms lint' runs the contract-aware static analysis and "
+        "'repro-fqms lint [PATHS]' runs the determinism lint and "
         "'repro-fqms serve|submit|status|results|sweep' is the fair-queued "
         "experiment service (each has its own --help)",
     )
@@ -346,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     targets = FIGURES + ("ablations",) if args.experiment == "all" else (args.experiment,)
     json_payloads = []
     for target in targets:
-        started = time.time()  # det: allow(wall-clock) user-facing timing
+        started = time.time()  # lint: allow(DET002, user-facing timing)
         if target == "ablations":
             body = _run_ablations(args.cycles, args.seed)
         elif target == "check":
@@ -379,7 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             body = result.render()
             json_payloads.append(_figure_json(target, result))
-        elapsed = time.time() - started  # det: allow(wall-clock)
+        elapsed = time.time() - started  # lint: allow(DET002, user-facing timing)
         print(f"=== {target} ({elapsed:.0f}s) ===")
         print(body)
         print()

@@ -198,6 +198,6 @@ class VtmsState:
         # Exact change-detection guard, not a priority comparison: both
         # sides are the same register's old/new value, and skipping the
         # epoch bump on a bitwise-equal write is always safe.
-        if value != thread.oldest_arrival:  # det: allow(register change guard)
+        if value != thread.oldest_arrival:  # lint: allow(DET004, register change guard)
             thread.oldest_arrival = value
             thread.bump_epoch()

@@ -14,12 +14,13 @@ an explicit classification:
   results are bit-identical across every setting (the differential
   harnesses in ``tests/`` enforce this for the engine-adjacent ones).
 
-The ENV200 lint pass enforces the discipline mechanically: any literal
-``os.environ`` read of a ``REPRO_*`` name outside this module is a
-finding, as is a declared knob missing from the README's env-var table.
-New knobs are added by declaring an :class:`EnvVar` here, reading it
-through the accessors below, and documenting it — the lint fails until
-all three are done.
+``tests/test_env.py`` enforces the discipline: an ``os.environ`` or
+``os.getenv`` read of a ``REPRO_*`` name anywhere under ``src/`` or
+``tools/`` outside this module fails it, as does a declared knob
+missing from the README's env-var table (or a row with no knob behind
+it).  New knobs are added by declaring an :class:`EnvVar` here,
+reading it through the accessors below, and documenting it — the test
+fails until all three are done.
 
 Reads are intentionally *not* cached here: several call sites resolve
 at import time, others per call, and the pre-registry behaviour of each

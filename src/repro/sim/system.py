@@ -452,8 +452,9 @@ class CmpSystem:
             buffers = controller.buffers
             if buffers.version == versions[channel]:
                 # Every head here was rejected at this occupancy and no
-                # new head arrived: each queue takes its one NACK.
-                for thread_id in threads:  # det: allow(commutative counter adds, order-free)
+                # new head arrived: each queue takes its one NACK
+                # (commutative counter adds, so order-free).
+                for thread_id in threads:
                     controller.skip_interface_nacks(thread_id, 1)
                 continue
             channel_queues = self._awaiting_mc[channel]
@@ -554,10 +555,10 @@ class CmpSystem:
     # their skip accounting per cycle — each keeps a ``_synced``
     # watermark and is caught up lazily, in one bulk
     # ``skip``/``skip_cycles`` call, when it next matters.  Safety rests
-    # on the WAKE400 contracts: a published wake is a conservative bound
-    # that cannot move earlier while the component is untouched, so
-    # every cycle skipped or deferred is provably a no-op for that
-    # component.
+    # on the wake-time contracts: a published wake is a conservative
+    # bound that cannot move earlier while the component is untouched,
+    # so every cycle skipped or deferred is provably a no-op for that
+    # component (the engine differentials hold both engines to it).
 
     def _writeback_blocked(self, core: OooCore) -> bool:
         """True when the core's head writeback would be NACKed this cycle.
@@ -600,7 +601,8 @@ class CmpSystem:
                 continue
             channel_queues = queues[channel]
             can_accept = buffers.can_accept
-            for thread_id in threads:  # det: allow(pure any-probe, order-free)
+            # A pure any-probe: order-free.
+            for thread_id in threads:
                 if can_accept(thread_id, channel_queues[thread_id][0].kind):
                     return True
             versions[channel] = version
@@ -768,7 +770,7 @@ class CmpSystem:
         """
         now = self.now
         span = target - now
-        for channel, thread_id in self._awaiting_nonempty:  # det: allow(commutative counter adds, order-free)
+        for channel, thread_id in self._awaiting_nonempty:  # lint: allow(DET003, commutative counter adds, order-free)
             # One rejected head-of-queue retry per cycle per queue.
             self.controllers[channel].skip_interface_nacks(thread_id, span)
         self.engine_cycles_skipped += span

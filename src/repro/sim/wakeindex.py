@@ -19,12 +19,13 @@ from per-shard min-heaps of ``(wake_time, epoch, slot)`` entries:
   only that channel's heap.  The global minimum is the min over shard
   tops — O(shards) peeks plus amortized stale-entry collection.
 
-Correctness leans on the WAKE400 wake-time contracts: published wakes
-are conservative (early answers are safe — the engine just steps a
-no-op cycle) and a component's wake bound cannot move *earlier* while
-the component is untouched, so retained entries never cause a late
-wake.  The differential suites (golden matrix, ``repro-fqms check``,
-``tests/sim/test_engine_differential.py``) prove the event engine
+Correctness leans on the wake-time contracts: published wakes are
+conservative (early answers are safe — the engine just steps a no-op
+cycle) and a component's wake bound cannot move *earlier* while the
+component is untouched, so retained entries never cause a late wake.
+The differential suites (golden matrix, ``repro-fqms check``,
+``tests/sim/test_engine_differential.py``,
+``tests/policy/test_differential.py``) prove the event engine
 bit-identical to the per-cycle oracle.
 """
 

@@ -1,29 +1,23 @@
-"""DET001–DET007 (repro.lint.determinism): each rule fires on a minimal
-snippet, order-insensitive reducers and suppressions are honoured, and
-the simulator source tree itself is clean."""
+"""DET000–DET007 (repro.lint): each rule fires on a minimal snippet,
+order-insensitive reducers and suppressions are honoured, and the
+simulator source tree itself is clean."""
 
 import textwrap
 from pathlib import Path
 
-from repro.lint import SourceFile, make_passes, run_lint
+from repro.lint import lint_source as lint_file
+from repro.lint import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-DET_RULES = ("DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "DET007")
 
 
 def lint_source(source, path):
     """Unsuppressed DET findings for one file's source text."""
-    file = SourceFile(path, source=source)
-    if file.parse_error is not None:
-        return [file.parse_error]
-    findings = []
-    for lint_pass in make_passes(DET_RULES):
-        findings.extend(lint_pass.check_file(file, None))
-    return [f for f in findings if not file.suppressed(f)]
+    return lint_file(source, path)[0]
 
 
 def lint_paths(paths):
-    return run_lint(paths, rules=DET_RULES).findings
+    return run_lint(paths).findings
 
 
 def findings_for(snippet):
@@ -191,7 +185,7 @@ class TestTelemetryImports:
 
     def test_suppression_applies(self):
         assert telemetry_findings_for(
-            "import time  # det: allow(host-side benchmark harness)"
+            "import time  # lint: allow(DET006, host-side benchmark harness)"
         ) == []
 
     def test_telemetry_package_is_clean(self):
@@ -233,7 +227,7 @@ class TestPolicyImports:
 
     def test_suppression_applies(self):
         assert policy_findings_for(
-            "import time  # det: allow(host-side benchmark harness)"
+            "import time  # lint: allow(DET007, host-side benchmark harness)"
         ) == []
 
     def test_policy_package_is_clean(self):
@@ -245,13 +239,13 @@ class TestSuppression:
     def test_det_allow_comment_silences_the_line(self):
         assert rules_for("""
             import time
-            start = time.time()  # det: allow(host-side profiling only)
+            start = time.time()  # lint: allow(DET002, host-side profiling only)
         """) == []
 
     def test_suppression_is_line_scoped(self):
         assert rules_for("""
             import time
-            a = time.time()  # det: allow(profiling)
+            a = time.time()  # lint: allow(DET002, profiling)
             b = time.time()
         """) == ["DET002"]
 

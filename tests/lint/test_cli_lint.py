@@ -1,13 +1,10 @@
-"""The ``repro-fqms lint`` command line: exit codes, formats, dispatch."""
+"""The ``repro-fqms lint`` command line: exit codes and dispatch."""
 
-import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-from repro.lint.emitters import validate_sarif
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -20,12 +17,12 @@ DIRTY_SOURCE = textwrap.dedent("""
 """)
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, module="repro.lint"):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        cwd=cwd or REPO_ROOT,
+        [sys.executable, "-m", module, *args],
+        cwd=REPO_ROOT,
         env=env,
         capture_output=True,
         text=True,
@@ -37,7 +34,7 @@ class TestExitCodes:
         (tmp_path / "ok.py").write_text(CLEAN_SOURCE)
         proc = run_cli(str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("lint: clean (1 files, 14 rules")
+        assert proc.stdout.startswith("lint: clean (1 files, 0 suppressed)")
 
     def test_findings_exit_one(self, tmp_path):
         (tmp_path / "dirty.py").write_text(DIRTY_SOURCE)
@@ -46,96 +43,15 @@ class TestExitCodes:
         assert "DET002" in proc.stdout
         assert "1 lint finding(s)" in proc.stdout
 
-    def test_unknown_rule_exits_two(self, tmp_path):
-        (tmp_path / "ok.py").write_text(CLEAN_SOURCE)
-        proc = run_cli(str(tmp_path), "--rules", "NOPE999")
-        assert proc.returncode == 2
-        assert "NOPE999" in proc.stderr
-
     def test_missing_path_exits_two(self, tmp_path):
         proc = run_cli(str(tmp_path / "does_not_exist"))
         assert proc.returncode == 2
         assert "no such path" in proc.stderr
 
-    def test_tripwire_exits_three(self, tmp_path):
-        (tmp_path / "ok.py").write_text(CLEAN_SOURCE)
-        proc = run_cli(str(tmp_path), "--max-seconds", "0")
-        assert proc.returncode == 3
-        assert "tripwire" in proc.stderr
-
-    def test_injected_fingerprint_gap_is_fatal(self, tmp_path):
-        """The acceptance-criteria fixture: a config field that skips
-        the fingerprint must make the CLI exit non-zero."""
-        (tmp_path / "config.py").write_text(textwrap.dedent("""
-            from dataclasses import dataclass
-
-
-            @dataclass
-            class SystemConfig:
-                num_banks: int = 8
-                forgotten_knob: int = 0
-        """))
-        (tmp_path / "cache.py").write_text(textwrap.dedent("""
-            def fingerprint(config):
-                return (config.num_banks,)
-        """))
-        proc = run_cli(str(tmp_path))
-        assert proc.returncode == 1
-        assert "FPR100" in proc.stdout
-        assert "forgotten_knob" in proc.stdout
-
-
-class TestFormatsAndOptions:
-    def test_list_rules_prints_catalog(self):
-        proc = run_cli("--list-rules")
-        assert proc.returncode == 0
-        lines = proc.stdout.strip().splitlines()
-        assert len(lines) == 14
-        assert any(line.startswith("FPR100") for line in lines)
-        assert any(line.startswith("DET001") for line in lines)
-        assert any(line.startswith("DET009") for line in lines)
-
-    def test_json_format(self, tmp_path):
-        (tmp_path / "dirty.py").write_text(DIRTY_SOURCE)
-        proc = run_cli(str(tmp_path), "--format", "json")
-        payload = json.loads(proc.stdout)
-        assert payload["files_checked"] == 1
-        assert [f["rule"] for f in payload["findings"]] == ["DET002"]
-
-    def test_sarif_format_validates(self, tmp_path):
-        (tmp_path / "dirty.py").write_text(DIRTY_SOURCE)
-        proc = run_cli(str(tmp_path), "--format", "sarif")
-        document = json.loads(proc.stdout)
-        assert validate_sarif(document) == []
-        assert document["runs"][0]["results"][0]["ruleId"] == "DET002"
-
-    def test_out_writes_file_and_summarizes(self, tmp_path):
-        (tmp_path / "dirty.py").write_text(DIRTY_SOURCE)
-        out = tmp_path / "report.sarif"
-        proc = run_cli(str(tmp_path), "--format", "sarif", "--out", str(out))
-        assert proc.returncode == 1
-        assert validate_sarif(json.loads(out.read_text())) == []
-        assert "1 finding(s)" in proc.stdout
-
-    def test_rule_selection(self, tmp_path):
-        (tmp_path / "dirty.py").write_text(DIRTY_SOURCE + "\ndef f(x=[]):\n    return x\n")
-        proc = run_cli(str(tmp_path), "--rules", "DET005")
-        assert proc.returncode == 1
-        assert "DET005" in proc.stdout
-        assert "DET002" not in proc.stdout
-
 
 class TestRootCommandDispatch:
     def test_repro_fqms_lint_subcommand(self, tmp_path):
         (tmp_path / "ok.py").write_text(CLEAN_SOURCE)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", str(tmp_path)],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("lint", str(tmp_path), module="repro.cli")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("lint: clean")

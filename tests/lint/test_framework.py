@@ -1,87 +1,22 @@
-"""Framework mechanics: suppressions, registry, rule selection, driver."""
+"""Lint mechanics: suppression scoping, sorting, parse errors."""
 
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.lint import registered_rules, rule_titles, run_lint
-from repro.lint.core import (
-    PARSE_ERROR_RULE,
-    Finding,
-    SourceFile,
-    parse_suppressions,
-    sort_findings,
-)
-from repro.lint.registry import resolve
-
-ALL_RULES = (
-    "DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "DET007",
-    "DET008", "DET009", "ENV200", "FPR100", "HOT500", "POL300", "WAKE400",
-)
+from repro.lint import lint_source, run_lint
 
 
 class TestSuppressionParsing:
     def test_lint_allow_with_reason(self):
-        table = parse_suppressions("x = 1  # lint: allow(DET002, harness timing)\n")
-        (supp,) = table[1]
-        assert supp.rule == "DET002"
-        assert supp.reason == "harness timing"
-        assert supp.covers("DET002")
-        assert not supp.covers("DET001")
-        assert not supp.covers("FPR100")
-
-    def test_lint_allow_non_det_rule(self):
-        table = parse_suppressions("y = 2  # lint: allow(HOT500, cold path)\n")
-        (supp,) = table[1]
-        assert supp.covers("HOT500")
-        assert not supp.covers("DET002")
-
-    def test_legacy_det_allow_covers_any_det_rule(self):
-        table = parse_suppressions("z = 3  # det: allow(legacy reason)\n")
-        (supp,) = table[1]
-        assert supp.rule is None
-        assert supp.covers("DET001")
-        assert supp.covers("DET007")
-        assert not supp.covers("FPR100")
-
-    def test_lines_without_allow_are_absent(self):
-        assert parse_suppressions("a = 1\nb = 2\n") == {}
-
-
-class TestSourceFile:
-    def test_parse_error_carries_det000(self):
-        file = SourceFile(Path("bad.py"), source="def broken(:\n")
-        assert file.tree is None
-        assert file.parse_error.rule == PARSE_ERROR_RULE
-
-    def test_suppressed_matches_line_and_rule(self):
-        file = SourceFile(
-            Path("ok.py"),
-            source="import time\nt = time.time()  # lint: allow(DET002, x)\n",
+        source = (
+            "import random, time\n"
+            "x = (time.time(), random.random())"
+            "  # lint: allow(DET002, harness timing)\n"
         )
-        hit = Finding(Path("ok.py"), 2, "DET002", "wall clock")
-        miss_line = Finding(Path("ok.py"), 1, "DET002", "wall clock")
-        miss_rule = Finding(Path("ok.py"), 2, "DET001", "rng")
-        assert file.suppressed(hit)
-        assert not file.suppressed(miss_line)
-        assert not file.suppressed(miss_rule)
-
-
-class TestRegistry:
-    def test_all_rules_registered(self):
-        assert tuple(registered_rules()) == ALL_RULES
-
-    def test_every_rule_has_a_title(self):
-        titles = rule_titles()
-        for rule in ALL_RULES:
-            assert titles[rule]
-
-    def test_resolve_unknown_rule_lists_catalog(self):
-        with pytest.raises(ValueError) as error:
-            resolve("NOPE999")
-        assert "NOPE999" in str(error.value)
-        assert "FPR100" in str(error.value)
+        findings, suppressed = lint_source(source, Path("timed.py"))
+        # The comment covers the rule it names on its own line, no other.
+        assert [f.rule for f in suppressed] == ["DET002"]
+        assert [f.rule for f in findings] == ["DET001"]
 
 
 def write(tmp_path, name, source):
@@ -92,55 +27,34 @@ def write(tmp_path, name, source):
 
 class TestRunLint:
     def test_findings_reported_and_sorted(self, tmp_path):
+        # DET003 is resolved after the walk, so only the sort puts the
+        # set loop's finding first.
         write(tmp_path, "hazards.py", """
             import time
+
+            for item in {1, 2}:
+                pass
 
             def tick(queue=[]):
                 return time.time()
         """)
         report = run_lint([tmp_path])
-        assert [f.rule for f in report.findings] == ["DET005", "DET002"]
+        assert [(f.line, f.rule) for f in report.findings] == [
+            (4, "DET003"), (7, "DET005"), (8, "DET002"),
+        ]
         assert report.files_checked == 1
-        assert not report.clean
 
     def test_suppressions_counted_not_fatal(self, tmp_path):
         write(tmp_path, "timed.py", """
             import time
             start = time.perf_counter()  # lint: allow(DET002, tool timing)
-            legacy = time.time()  # det: allow(old spelling)
+            stop = time.time()  # lint: allow(DET002, tool timing)
         """)
         report = run_lint([tmp_path])
-        assert report.clean
+        assert report.findings == []
         assert [f.rule for f in report.suppressed] == ["DET002", "DET002"]
-
-    def test_rule_selection_limits_passes(self, tmp_path):
-        write(tmp_path, "hazards.py", """
-            import time
-
-            def tick(queue=[]):
-                return time.time()
-        """)
-        report = run_lint([tmp_path], rules=["DET002"])
-        assert report.rules == ["DET002"]
-        assert [f.rule for f in report.findings] == ["DET002"]
 
     def test_parse_error_reported_once(self, tmp_path):
         write(tmp_path, "broken.py", "def broken(:\n")
         report = run_lint([tmp_path])
-        assert [f.rule for f in report.findings] == [PARSE_ERROR_RULE]
-
-
-def test_sort_findings_orders_by_path_line_rule():
-    findings = [
-        Finding(Path("b.py"), 1, "DET002", "m"),
-        Finding(Path("a.py"), 9, "DET002", "m"),
-        Finding(Path("a.py"), 1, "DET005", "m"),
-        Finding(Path("a.py"), 1, "DET001", "m"),
-    ]
-    ordered = sort_findings(findings)
-    assert [(str(f.path), f.line, f.rule) for f in ordered] == [
-        ("a.py", 1, "DET001"),
-        ("a.py", 1, "DET005"),
-        ("a.py", 9, "DET002"),
-        ("b.py", 1, "DET002"),
-    ]
+        assert [f.rule for f in report.findings] == ["DET000"]

@@ -6,66 +6,41 @@ package directory.  The one escape hatch is an explicit
 longer uses.
 """
 
-from repro.lint import run_lint
+from pathlib import Path
+
+from repro.lint import lint_source, run_lint
+
+
+def det008(path, source):
+    findings, _ = lint_source(source, Path(path))
+    return [f for f in findings if f.rule == "DET008"]
 
 
 class TestObsImports:
-    def test_time_import_in_obs_is_flagged(self, project_of, run_rule):
-        project = project_of({
-            "repro/obs/phases.py": """
-                import time
-            """,
-        })
-        findings = run_rule("DET008", project)
+    def test_time_import_in_obs_is_flagged(self):
+        findings = det008("repro/obs/phases.py", "import time\n")
         assert len(findings) == 1
         assert findings[0].rule == "DET008"
         assert "'time'" in findings[0].message
         assert "pure observer" in findings[0].message
 
-    def test_from_import_in_obs_is_flagged(self, project_of, run_rule):
-        project = project_of({
-            "repro/obs/fleet.py": """
-                from time import monotonic
-            """,
-        })
-        findings = run_rule("DET008", project)
-        assert len(findings) == 1
+    def test_from_import_in_obs_is_flagged(self):
+        assert len(det008("repro/obs/fleet.py", "from time import monotonic\n")) == 1
 
-    def test_random_and_datetime_are_banned(self, project_of, run_rule):
-        project = project_of({
-            "repro/obs/manifest.py": """
-                import random
-                import datetime
-            """,
-        })
-        findings = run_rule("DET008", project)
-        assert len(findings) == 2
+    def test_random_and_datetime_are_banned(self):
+        source = "import random\nimport datetime\n"
+        assert len(det008("repro/obs/manifest.py", source)) == 2
 
-    def test_submodule_import_is_flagged(self, project_of, run_rule):
-        project = project_of({
-            "repro/obs/x.py": """
-                import random.whatever
-            """,
-        })
-        assert len(run_rule("DET008", project)) == 1
+    def test_submodule_import_is_flagged(self):
+        assert len(det008("repro/obs/x.py", "import random.whatever\n")) == 1
 
-    def test_outside_obs_is_not_det008(self, project_of, run_rule):
+    def test_outside_obs_is_not_det008(self):
         # Wall clock outside obs is DET002's jurisdiction, not DET008's.
-        project = project_of({
-            "repro/telemetry/driver.py": """
-                import time
-            """,
-        })
-        assert run_rule("DET008", project) == []
+        assert det008("repro/telemetry/export.py", "import time\n") == []
 
-    def test_clean_obs_module_passes(self, project_of, run_rule):
-        project = project_of({
-            "repro/obs/engine.py": """
-                def engine_extras(system):
-                    return {}
-            """,
-        })
-        assert run_rule("DET008", project) == []
+    def test_clean_obs_module_passes(self):
+        source = "def engine_extras(system):\n    return {}\n"
+        assert det008("repro/obs/engine.py", source) == []
 
 
 class TestSuppression:
@@ -76,6 +51,6 @@ class TestSuppression:
             "from time import perf_counter"
             "  # lint: allow(DET008, registered harness wall-clock)\n"
         )
-        report = run_lint([tmp_path], rules=["DET008"], root=tmp_path)
+        report = run_lint([tmp_path])
         assert report.findings == []
         assert [f.rule for f in report.suppressed] == ["DET008"]

@@ -5,14 +5,15 @@ package directory, with exactly one sanctioned escape hatch: an
 explicit ``lint: allow(DET009, ...)`` suppression, which the real tree
 uses once — ``repro/serve/clock.py``, the registered clock module.
 The suite also pins the real tree's closure: the serve package is
-covered by both DET009 and the ENV200 env-knob audit, and its four
-``REPRO_SERVE*`` knobs are declared in the registry.
+DET009-clean, and its four ``REPRO_SERVE*`` knobs are declared in the
+env registry (``tests/test_env.py`` checks that no module but the
+registry reads them).
 """
 
 from pathlib import Path
 
 from repro import env
-from repro.lint import run_lint
+from repro.lint import lint_source, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -24,52 +25,31 @@ SERVE_KNOBS = (
 )
 
 
+def det009(path, source):
+    findings, _ = lint_source(source, Path(path))
+    return [f for f in findings if f.rule == "DET009"]
+
+
 class TestServeImports:
-    def test_time_import_in_serve_is_flagged(self, project_of, run_rule):
-        project = project_of({
-            "repro/serve/service.py": """
-                import time
-            """,
-        })
-        findings = run_rule("DET009", project)
+    def test_time_import_in_serve_is_flagged(self):
+        findings = det009("repro/serve/service.py", "import time\n")
         assert len(findings) == 1
         assert findings[0].rule == "DET009"
         assert "'time'" in findings[0].message
         assert "clock.py" in findings[0].message
 
-    def test_from_import_in_serve_is_flagged(self, project_of, run_rule):
-        project = project_of({
-            "repro/serve/queue.py": """
-                from time import monotonic
-            """,
-        })
-        assert len(run_rule("DET009", project)) == 1
+    def test_from_import_in_serve_is_flagged(self):
+        assert len(det009("repro/serve/queue.py", "from time import monotonic\n")) == 1
 
-    def test_random_and_datetime_are_banned(self, project_of, run_rule):
-        project = project_of({
-            "repro/serve/store.py": """
-                import random
-                import datetime
-            """,
-        })
-        assert len(run_rule("DET009", project)) == 2
+    def test_random_and_datetime_are_banned(self):
+        source = "import random\nimport datetime\n"
+        assert len(det009("repro/serve/store.py", source)) == 2
 
-    def test_outside_serve_is_not_det009(self, project_of, run_rule):
-        project = project_of({
-            "repro/obs/phases.py": """
-                import time
-            """,
-        })
-        assert run_rule("DET009", project) == []
+    def test_outside_serve_is_not_det009(self):
+        assert det009("repro/obs/phases.py", "import time\n") == []
 
-    def test_clean_serve_module_passes(self, project_of, run_rule):
-        project = project_of({
-            "repro/serve/spec.py": """
-                import asyncio
-                import json
-            """,
-        })
-        assert run_rule("DET009", project) == []
+    def test_clean_serve_module_passes(self):
+        assert det009("repro/serve/spec.py", "import asyncio\nimport json\n") == []
 
 
 class TestSuppression:
@@ -80,7 +60,7 @@ class TestSuppression:
             "import time"
             "  # lint: allow(DET009, registered serve clock module)\n"
         )
-        report = run_lint([tmp_path], rules=["DET009"], root=tmp_path)
+        report = run_lint([tmp_path])
         assert report.findings == []
         assert [f.rule for f in report.suppressed] == ["DET009"]
 
@@ -89,22 +69,14 @@ class TestRealTreeClosure:
     """The shipped serve package satisfies its own contracts."""
 
     def test_serve_package_is_det009_clean(self):
-        serve_dir = REPO_ROOT / "src" / "repro" / "serve"
-        report = run_lint([serve_dir], rules=["DET009"], root=REPO_ROOT)
+        report = run_lint([REPO_ROOT / "src" / "repro" / "serve"])
         assert report.findings == [], "\n".join(
             str(f) for f in report.findings
         )
         # The one reasoned exception: clock.py's suppressed import.
-        assert [f.rule for f in report.suppressed] == ["DET009"]
-        assert all("clock.py" in str(f.path) for f in report.suppressed)
-
-    def test_serve_package_is_env200_clean(self):
-        serve_dir = REPO_ROOT / "src" / "repro" / "serve"
-        report = run_lint([serve_dir], rules=["ENV200"], root=REPO_ROOT)
-        assert report.findings == [], "\n".join(
-            str(f) for f in report.findings
-        )
-        assert report.files_checked >= 7
+        det009_suppressed = [f for f in report.suppressed if f.rule == "DET009"]
+        assert len(det009_suppressed) == 1
+        assert "clock.py" in str(det009_suppressed[0].path)
 
     def test_serve_knobs_are_declared_semantics_free(self):
         for name in SERVE_KNOBS:

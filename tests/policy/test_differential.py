@@ -94,3 +94,35 @@ def test_engine_identity_across_interval_lengths(policy):
     assert dataclasses.asdict(
         comparable_result(results[0])
     ) == dataclasses.asdict(comparable_result(results[1]))
+
+
+def _state(obj):
+    return {
+        key: _state(value) if hasattr(value, "__dict__") else value
+        for key, value in vars(obj).items()
+    }
+
+
+@pytest.mark.parametrize("policy", STATEFUL)
+def test_idle_boundaries_are_stepped(policy):
+    # crafty is cache-resident, so the controller sits idle across every
+    # boundary and only the policy's own next_event_time makes the event
+    # engine step them.  A wake that returns None on some path skips a
+    # boundary and leaves the interval state behind the oracle's.
+    from repro.sim.config import SystemConfig
+    from repro.sim.system import CmpSystem
+    from repro.workloads.spec2000 import profile
+
+    states = []
+    for engine in ("cycle", "event"):
+        config = SystemConfig(
+            num_cores=1,
+            policy=policy,
+            engine=engine,
+            bliss_interval=700,
+            slowdown_interval=700,
+        )
+        system = CmpSystem(config, [profile("crafty")])
+        system.run(CYCLES, warmup=500)
+        states.append(_state(system.controllers[0].policy))
+    assert states[0] == states[1]

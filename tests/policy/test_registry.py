@@ -1,8 +1,15 @@
-"""Policy registry: lookup, canonicalization, factories, overrides."""
+"""Policy registry: lookup, canonicalization, factories, overrides,
+and the protocol every registered policy must keep."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import repro.core
+import repro.policy
 from repro.core.policies import FQ_VFTF, FR_FCFS, POLICIES
+from repro.dram.timing import DDR2Timing
 from repro.policy import (
     BASELINE_POLICY,
     HEADLINE_POLICIES,
@@ -115,3 +122,49 @@ class TestFactories:
         finally:
             registry_module._REGISTRY.pop("TEST-CUSTOM", None)
             registry_module._ALIASES.pop("TC", None)
+
+
+HOOKS = ("on_arrival", "on_issue", "on_complete", "on_cycle")
+
+
+def _instance(name):
+    return resolve(name)(PolicyContext(num_threads=2, timing=DDR2Timing()))
+
+
+def _policy_classes():
+    """Every SchedulingPolicy subclass defined under ``repro.``, after
+    importing each module of the policy and core packages (so a class in
+    a module nothing imports yet is still seen)."""
+    for package in (repro.policy, repro.core):
+        for module in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+            importlib.import_module(module.name)
+    found, work = set(), [SchedulingPolicy]
+    while work:
+        for cls in work.pop().__subclasses__():
+            if cls not in found:
+                found.add(cls)
+                work.append(cls)
+    return {cls for cls in found if cls.__module__.startswith("repro.")}
+
+
+class TestProtocolConformance:
+    @pytest.mark.parametrize("name", registered_names())
+    def test_hooks_armed_exactly_when_overridden(self, name):
+        # The controller dispatches hooks only when has_hooks is set: an
+        # unarmed override never runs, an armed no-op costs every tick.
+        policy = _instance(name)
+        overridden = [
+            hook for hook in HOOKS
+            if getattr(type(policy), hook) is not getattr(SchedulingPolicy, hook)
+        ]
+        assert bool(overridden) == policy.has_hooks, overridden
+
+    @pytest.mark.parametrize("name", registered_names())
+    def test_fq_family_is_the_base_property(self, name):
+        # The inversion invariant keys off fq_bank_rule through this
+        # property; a policy sets the flag, never overrides the property.
+        assert type(_instance(name)).fq_family is SchedulingPolicy.fq_family
+
+    def test_every_policy_class_is_registered(self):
+        registered = {type(_instance(name)) for name in registered_names()}
+        assert _policy_classes() <= registered, _policy_classes() - registered

@@ -40,11 +40,14 @@ needs_fork = pytest.mark.skipif(
 
 
 def _flaky_execute(spec, heartbeats=None):
-    sentinel = Path(os.environ[SENTINEL_VAR])
-    if not sentinel.exists():
-        sentinel.write_text("spent")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_EXECUTE(spec, heartbeats)
+    # O_EXCL makes the claim atomic: of two workers that get here
+    # together, only the one whose create succeeds kills itself.
+    try:
+        fd = os.open(os.environ[SENTINEL_VAR], os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return _REAL_EXECUTE(spec, heartbeats)
+    os.close(fd)
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @pytest.fixture()

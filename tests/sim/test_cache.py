@@ -1,5 +1,6 @@
 """Persistent result cache: fingerprints, round-trips, transparency."""
 
+import dataclasses
 import json
 
 import pytest
@@ -34,6 +35,112 @@ def _config(**overrides):
     defaults = dict(num_cores=2, policy="FQ-VFTF", seed=0)
     defaults.update(overrides)
     return SystemConfig(**defaults)
+
+
+#: One valid alternative value for every leaf field of SystemConfig,
+#: nested dataclasses (timing, core, core.prefetch, caches) expanded.
+ALTERNATIVES = {
+    "num_cores": 4,
+    "policy": "FQ-VFTF",
+    "shares": [0.75, 0.25],
+    "timing.t_rcd": 100,
+    "timing.t_cl": 100,
+    "timing.t_wl": 80,
+    "timing.t_ccd": 40,
+    "timing.t_wtr": 60,
+    "timing.t_wr": 120,
+    "timing.t_rtp": 60,
+    "timing.t_rp": 100,
+    "timing.t_rrd": 60,
+    "timing.t_ras": 200,  # must stay <= t_rc (220)
+    "timing.t_rc": 440,
+    "timing.t_faw": 360,
+    "timing.burst": 80,
+    "timing.t_rfc": 1020,
+    "timing.t_refi": 560_000,
+    "num_ranks": 2,
+    "num_banks": 16,
+    "columns_per_row": 64,
+    "num_channels": 2,
+    "xor_bank": False,
+    "core.rob_size": 256,
+    "core.retire_width": 8.0,
+    "core.issue_ports": 4,
+    "core.mshrs": 64,
+    "core.lsq_size": 64,
+    "core.prefetch.enabled": False,
+    "core.prefetch.streams": 16,
+    "core.prefetch.depth": 32,
+    "core.prefetch.budget": 32,
+    "core.prefetch.issue_per_cycle": 4,
+    "l1i.size_bytes": 65536,
+    "l1i.assoc": 8,
+    "l1i.line_bytes": 128,
+    "l1i.latency": 4,
+    "l1i.mshrs": 16,
+    "l1d.size_bytes": 65536,
+    "l1d.assoc": 8,
+    "l1d.line_bytes": 128,
+    "l1d.latency": 4,
+    "l1d.mshrs": 32,
+    "l2.size_bytes": 1 << 20,
+    "l2.assoc": 16,
+    "l2.line_bytes": 128,
+    "l2.latency": 24,
+    "l2.mshrs": 32,
+    "read_entries_per_thread": 32,
+    "write_entries_per_thread": 16,
+    "front_latency": 40,
+    "back_latency": 40,
+    "enable_refresh": False,
+    "seed": 1,  # 0 doubled is still 0
+    "thread_address_stride": 1 << 35,
+    "inversion_bound": 40,
+    "bliss_threshold": 8,
+    "bliss_interval": 20_000,
+    "slowdown_interval": 10_000,
+    "row_policy": "open",
+    "write_drain": "watermark",
+    "engine": "cycle",
+}
+
+#: The engine default follows REPRO_ENGINE, so pin it.
+BASE = SystemConfig(engine="event")
+
+
+def _leaf_fields(obj, prefix=""):
+    """Dotted names of every non-dataclass field under ``obj``."""
+    for spec in dataclasses.fields(obj):
+        value = getattr(obj, spec.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, f"{prefix}{spec.name}.")
+        else:
+            yield prefix + spec.name
+
+
+def _replace(obj, path, value):
+    """``obj`` with the dotted field ``path`` set to ``value``."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
+
+
+class TestFingerprintCoversEveryField:
+    """A config field missing from the fingerprint would serve stale
+    cached results to every sweep that varies it, and nothing would
+    crash."""
+
+    def test_table_names_every_leaf_field(self):
+        assert set(ALTERNATIVES) == set(_leaf_fields(BASE))
+
+    @pytest.mark.parametrize("path", list(ALTERNATIVES))
+    def test_field_changes_the_fingerprint(self, path):
+        profiles = [profile("vpr"), profile("art")]
+        changed = _replace(BASE, path, ALTERNATIVES[path])
+        assert fingerprint(changed, profiles, CYCLES, WARMUP, 0) != fingerprint(
+            BASE, profiles, CYCLES, WARMUP, 0
+        )
 
 
 class TestFingerprint:
