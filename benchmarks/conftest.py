@@ -29,7 +29,7 @@ import pytest
 from repro import env
 from repro.experiments.pairs import run_pairs
 from repro.experiments.quads import run_quads
-from repro.obs.manifest import host_stamp
+from repro.serve.store import host_stamp
 from repro.sim.parallel import default_jobs
 from repro.sim.runner import DEFAULT_CYCLES
 

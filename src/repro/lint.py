@@ -11,8 +11,10 @@ that contract:
 * DET003 — order-sensitive iteration over a set;
 * DET004 — float equality on VTMS virtual-time fields;
 * DET005 — mutable default arguments;
-* DET006–DET009 — ``time``/``datetime``/``random`` imports inside the
-  telemetry, policy, obs and serve packages (:data:`PACKAGE_RULES`).
+* DET006, DET007, DET009 — ``time``/``datetime``/``random`` imports
+  inside the telemetry, policy and serve packages
+  (:data:`PACKAGE_RULES`).  DET008 is retired with the package it
+  guarded; its number is not reused.
 
 Everything is stdlib ``ast``: the code under analysis is never
 imported, so linting a broken tree can never execute it.  All rules
@@ -86,11 +88,6 @@ PACKAGE_RULES: Dict[str, Tuple[str, str]] = {
         "DET007",
         "scheduling decisions must be pure functions of simulated state, "
         "never host time or randomness",
-    ),
-    "obs": (
-        "DET008",
-        "the observability layer must stay a pure observer — no wall "
-        "clock, no randomness",
     ),
     "serve": (
         "DET009",

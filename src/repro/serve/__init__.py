@@ -10,7 +10,7 @@ job scheduler is the same start-time/finish-time fair queuing the
 simulated memory controller uses, applied to the service's own job
 queue, with per-tenant φ shares and virtual-finish-time accounting.
 
-Layout (one concern per module, mirroring ``repro.obs``):
+Layout (one concern per module):
 
 * :mod:`repro.serve.clock` — the single wall-clock module under
   ``serve/`` (DET009 confines ``time`` imports here).
@@ -20,11 +20,13 @@ Layout (one concern per module, mirroring ``repro.obs``):
 * :mod:`repro.serve.queue` — the fair job scheduler: per-tenant
   virtual start/finish tags, weighted by configurable shares.
 * :mod:`repro.serve.store` — the queryable result store: append-only
-  directory of ``repro.obs/1`` run manifests plus an index, with
+  directory of schema-validated run manifests plus an index, with
   filter/aggregate queries; pluggable into ``run_many(store=...)``.
+  The manifest format and its one atomic writer live here too.
 * :mod:`repro.serve.service` — the asyncio orchestrator: worker
   subprocess pool, per-job timeouts, crash detection with bounded
-  retry/backoff, graceful drain, fleet dashboard state, per-tenant
+  retry/backoff, graceful drain, the fleet dashboard rendered from its
+  job records (progress rides each job's result pipe), per-tenant
   slowdown/unfairness metrics.
 * :mod:`repro.serve.protocol` — the JSON-lines submit/status/results
   protocol over a unix (or loopback TCP) socket.

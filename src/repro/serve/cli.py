@@ -20,10 +20,9 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from .. import env
-from ..obs.fleet import HEARTBEAT_INTERVAL_S
 from ..policy import registered_names
 from ..sim.cache import configure_cache
-from ..sim.parallel import run_label
+from ..sim.parallel import PROGRESS_INTERVAL_S, run_label
 from ..stats.report import render_table
 from . import clock
 from .protocol import ProtocolServer, request, results_rows
@@ -261,9 +260,10 @@ def _wait_for_drain(root: str) -> int:
             print(
                 f"submit: drained ({counts.get('done', 0)} done, "
                 f"{counts.get('cached', 0)} cached, "
-                f"{counts.get('lost', 0)} lost)"
+                f"{counts.get('lost', 0)} lost, "
+                f"{counts.get('error', 0)} error)"
             )
-            return 1 if counts.get("lost", 0) else 0
+            return 1 if counts.get("lost", 0) or counts.get("error", 0) else 0
         clock.sleep(0.2)
 
 
@@ -477,7 +477,7 @@ async def _repaint_until_drained(service: ExperimentService, stream: Any) -> Non
         lines = block.count("\n") + 1
         if finished:
             return
-        await asyncio.wait({drained}, timeout=HEARTBEAT_INTERVAL_S)
+        await asyncio.wait({drained}, timeout=PROGRESS_INTERVAL_S)
 
 
 async def _run_sweep(

@@ -38,18 +38,20 @@ from ..sim.parallel import RunSpec
 class Job:
     """One schedulable run: a spec plus its fair-queuing tags.
 
-    Lifecycle state mirrors the fleet dashboard vocabulary
-    (:data:`repro.obs.fleet.RUN_STATES`): ``queued`` → ``running`` →
-    ``done``/``cached``/``error``/``lost``, with ``retried`` as the
-    transient crash-resubmission state.  ``attempts`` counts executions
-    started; the retry budget in :class:`~repro.sim.retry.RetryPolicy`
-    bounds it.
+    The job record is also the service's one record of the run's
+    lifecycle, which the fleet dashboard renders: ``queued`` →
+    ``running`` → ``done``/``cached``/``error``/``lost``, with
+    ``retried`` as the transient crash-resubmission state.
+    ``progress`` is the simulated cycle of the worker's latest sample
+    (0 until the running attempt reports).  ``attempts`` counts
+    executions started; the retry budget in
+    :class:`~repro.sim.retry.RetryPolicy` bounds it.
     """
 
     __slots__ = (
         "job_id", "tenant", "spec", "cost", "start_tag", "finish_tag",
-        "attempts", "state", "submitted_s", "started_s", "finished_s",
-        "busy_s", "error",
+        "attempts", "state", "progress", "submitted_s", "started_s",
+        "finished_s", "busy_s", "error",
     )
 
     def __init__(
@@ -63,6 +65,7 @@ class Job:
         self.finish_tag = 0.0
         self.attempts = 0
         self.state = "queued"
+        self.progress = 0
         #: Host-time stamps (service-measured, via serve.clock); used
         #: only for metrics, never for scheduling or results.
         self.submitted_s = 0.0

@@ -17,24 +17,24 @@ one simulation and the rest serve as ``cached``).  Every completed
 result lands in all three layers, which is what makes a resubmitted
 sweep 100% cache-served.
 
-Live progress uses :mod:`repro.obs.fleet`: workers heartbeat
-simulated-cycle progress over a Manager queue into a
-:class:`~repro.obs.fleet.FleetState`, whose render *is* the
-``repro-fqms status`` dashboard and the ``repro-fqms sweep --progress``
-view.  Per-tenant busy-seconds, MISE-style slowdowns, and the
-unfairness headline come from :meth:`FairJobQueue.fairness
-<repro.serve.queue.FairJobQueue.fairness>` and ride ``status()`` as
-its ``fairness`` block.
+Live progress rides each job's result pipe: the worker samples its
+simulated cycle (:func:`repro.sim.parallel.execute_spec`) and the
+executor stores the latest sample on the :class:`~repro.serve.queue.
+Job`.  :func:`dashboard` renders the job records, plus the runs served
+from cache at submit time, as the ``repro-fqms status`` dashboard and
+the ``repro-fqms sweep --progress`` view.  Per-tenant busy-seconds,
+MISE-style slowdowns, and the unfairness headline come from
+:meth:`FairJobQueue.fairness <repro.serve.queue.FairJobQueue.fairness>`
+and ride ``status()`` as its ``fairness`` block.
 """
 
 from __future__ import annotations
 
 import asyncio
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import env
-from ..obs import fleet
 from ..sim import parallel, runner
 from ..sim.retry import RetryPolicy, WorkerCrashError
 from ..sim.system import CmpSystem, SimResult
@@ -50,9 +50,11 @@ TIMEOUT_ENV_VAR = "REPRO_SERVE_TIMEOUT"
 DEFAULT_WORKERS = 2
 DEFAULT_TIMEOUT_S = 600.0
 
-#: How often the scheduler wakes to pump heartbeats when nothing else
-#: wakes it (job finish, requeue and submit dispatch at once).
-_TICK_S = 0.02
+#: Job states that end a run's dashboard row.
+TERMINAL_STATES = ("done", "cached", "error", "lost")
+
+#: Characters in a dashboard row's progress bar.
+BAR_WIDTH = 16
 
 
 def default_workers() -> int:
@@ -67,20 +69,21 @@ def default_timeout_s() -> float:
 
 
 def _child_main(
-    spec: parallel.RunSpec, images: Dict[Tuple, bytes], conn: Any, queue: Any
+    spec: parallel.RunSpec, images: Dict[Tuple, bytes], conn: Any
 ) -> None:
     """Worker entry: simulate one spec, send ('ok', (result, images)) | ('err', tb).
 
     ``images`` are the warm-L2 images the parent holds for the spec's
     cores; the ones this run builds go back with the result (see
-    :func:`repro.sim.parallel.execute_exchanging`).  A worker that dies
-    (or is killed) before sending anything is the crash signature the
-    parent classifies as retryable; a simulation exception travels back
-    as a deterministic ``err`` and is *not* retried.  ``queue`` carries
-    the run's progress heartbeats (None: no heartbeats).
+    :func:`repro.sim.parallel.execute_exchanging`).  ``('progress',
+    cycle)`` samples precede the result on the same pipe.  A worker
+    that dies (or is killed) before sending a result is the crash
+    signature the parent classifies as retryable; a simulation
+    exception travels back as a deterministic ``err`` and is *not*
+    retried.
     """
     try:
-        result = parallel.execute_exchanging(spec, images, queue)
+        result = parallel.execute_exchanging(spec, images, conn)
     except BaseException:
         try:
             conn.send(("err", traceback.format_exc()))
@@ -105,9 +108,8 @@ class ProcessJobExecutor:
     ``run_many``'s inline fallback).
     """
 
-    def __init__(self, timeout_s: Optional[float] = None, heartbeat_queue: Any = None):
+    def __init__(self, timeout_s: Optional[float] = None):
         self.timeout_s = timeout_s
-        self.heartbeat_queue = heartbeat_queue
         #: job_id -> live worker pid (chaos tests kill from here).
         self.pids: Dict[int, int] = {}
 
@@ -133,7 +135,7 @@ class ProcessJobExecutor:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
         process = multiprocessing.Process(
             target=_child_main,
-            args=(job.spec, images, child_conn, self.heartbeat_queue),
+            args=(job.spec, images, child_conn),
             daemon=True,
         )
         process.start()
@@ -165,10 +167,12 @@ class ProcessJobExecutor:
                     )
                 if kind == "ok":
                     return payload
-                raise RuntimeError(
-                    f"job {job.job_id} ({parallel.run_label(job.spec)}) "
-                    f"failed in its worker:\n{payload}"
-                )
+                if kind == "err":
+                    raise RuntimeError(
+                        f"job {job.job_id} ({parallel.run_label(job.spec)}) "
+                        f"failed in its worker:\n{payload}"
+                    )
+                job.progress = payload
             if not process.is_alive():
                 if conn.poll(0):
                     continue  # final message raced process exit
@@ -219,13 +223,12 @@ class ExperimentService:
         )
         self.store = ResultStore(self.root / "store")
         self.queue = FairJobQueue()
-        self.state = fleet.FleetState()
         self.jobs: Dict[int, Job] = {}
-        self._manager: Any = None
-        self._heartbeats: Optional[fleet.FleetMonitor] = None
+        #: Run labels served from cache at submit time: they never
+        #: become jobs, but the dashboard shows them.
+        self.cache_hits: Set[str] = set()
         if executor is None:
-            queue = self._make_heartbeat_queue()
-            executor = ProcessJobExecutor(self.timeout_s, heartbeat_queue=queue)
+            executor = ProcessJobExecutor(self.timeout_s)
         self.executor = executor
         self._running: Dict[int, "asyncio.Task[None]"] = {}
         self._outstanding = 0
@@ -233,25 +236,13 @@ class ExperimentService:
         self._scheduler_task: Optional["asyncio.Task[None]"] = None
         self._idle: Optional[asyncio.Event] = None
         #: Set when a slot frees or a job becomes ready: wakes the
-        #: scheduler before its tick.
+        #: scheduler.
         self._wake: Optional[asyncio.Event] = None
         #: Terminal-state tallies (the manifest/status surface).
         self.counts: Dict[str, int] = {
             "submitted": 0, "cached": 0, "done": 0,
             "retried": 0, "lost": 0, "error": 0,
         }
-
-    def _make_heartbeat_queue(self) -> Any:
-        """A Manager queue for worker heartbeats, or None (degraded)."""
-        try:
-            from multiprocessing import Manager
-
-            self._manager = Manager()
-            queue = self._manager.Queue()
-        except (OSError, PermissionError, NotImplementedError):
-            return None
-        self._heartbeats = fleet.FleetMonitor(queue, state=self.state)
-        return queue
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -281,9 +272,6 @@ class ExperimentService:
         if self._running:
             await asyncio.gather(*self._running.values(), return_exceptions=True)
             self._running.clear()
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
 
     async def drain(self) -> None:
         """Wait until every submitted job has reached a terminal state."""
@@ -310,13 +298,12 @@ class ExperimentService:
             hit = runner.lookup(spec, self.store)
             if hit is not None:
                 self.store.record(spec, hit, source="cache", tenant=tenant)
-                self._observe(parallel.run_label(spec), "cached", spec)
+                self.cache_hits.add(parallel.run_label(spec))
                 cached += 1
                 continue
             job = self.queue.submit(tenant, spec, job_cost(spec))
             job.submitted_s = clock.monotonic()
             self.jobs[job.job_id] = job
-            self.state.expect(self._run_id(job))
             self._outstanding += 1
             if self._idle is not None:
                 self._idle.clear()
@@ -336,17 +323,6 @@ class ExperimentService:
 
     # -- scheduling --------------------------------------------------------
 
-    @staticmethod
-    def _run_id(job: Job) -> str:
-        return parallel.run_label(job.spec)
-
-    def _observe(
-        self, run_id: str, state: str, spec: parallel.RunSpec
-    ) -> None:
-        total = spec.warmup + spec.cycles
-        cycle = total if state in ("done", "cached") else 0
-        self.state.observe(fleet.heartbeat_event(run_id, state, cycle, total))
-
     def _wake_scheduler(self) -> None:
         if self._wake is not None:
             self._wake.set()
@@ -354,10 +330,7 @@ class ExperimentService:
     async def _scheduler(self) -> None:
         wake = self._wake
         assert wake is not None
-        loop = asyncio.get_running_loop()
         while True:
-            if self._heartbeats is not None:
-                self._heartbeats.pump()
             while len(self._running) < self.workers:
                 job = self.queue.pop()
                 if job is None:
@@ -365,14 +338,9 @@ class ExperimentService:
                 task = asyncio.create_task(self._run_job(job))
                 self._running[job.job_id] = task
             # No await since the dispatch pass: a wake set from here on
-            # is one it has not seen.  (Not asyncio.wait_for: before
-            # Python 3.12 it can swallow the cancel ``stop`` sends.)
+            # is one it has not seen.
             wake.clear()
-            tick = loop.call_later(_TICK_S, wake.set)
-            try:
-                await wake.wait()
-            finally:
-                tick.cancel()
+            await wake.wait()
 
     async def _run_job(self, job: Job) -> None:
         try:
@@ -382,7 +350,6 @@ class ExperimentService:
             self._wake_scheduler()
 
     async def _execute(self, job: Job) -> None:
-        run_id = self._run_id(job)
         # Dispatch-time dedupe: a duplicate queued while its twin ran
         # is served from the caches the twin just filled.
         hit = runner.lookup(job.spec, self.store)
@@ -393,13 +360,12 @@ class ExperimentService:
             )
             job.state = "cached"
             self.counts["cached"] += 1
-            self._observe(run_id, "cached", job.spec)
             self._finish(job)
             return
         job.attempts += 1
         job.state = "running"
+        job.progress = 0
         job.started_s = clock.monotonic()
-        self._observe(run_id, "running", job.spec)
         try:
             result = await self.executor.run(job)
         except WorkerCrashError as exc:
@@ -409,14 +375,12 @@ class ExperimentService:
             job.state = "lost"
             job.error = "service shut down mid-run"
             self.counts["lost"] += 1
-            self._observe(run_id, "lost", job.spec)
             self._finish(job)
             raise
         except Exception:
             job.state = "error"
             job.error = traceback.format_exc()
             self.counts["error"] += 1
-            self._observe(run_id, "error", job.spec)
             self._finish(job)
             return
         finished_s = clock.monotonic()
@@ -425,15 +389,12 @@ class ExperimentService:
         self.queue.charge(job, job.busy_s, finished_s - job.submitted_s)
         job.state = "done"
         self.counts["done"] += 1
-        self._observe(run_id, "done", job.spec)
         self._finish(job)
 
     def _crashed(self, job: Job, exc: WorkerCrashError) -> None:
-        run_id = self._run_id(job)
         if self.retry.should_retry(job.attempts):
             job.state = "retried"
             self.counts["retried"] += 1
-            self._observe(run_id, "retried", job.spec)
             delay = self.retry.delay_s(job.attempts)
             asyncio.get_running_loop().create_task(
                 self._requeue_later(job, delay)
@@ -442,7 +403,6 @@ class ExperimentService:
             job.state = "lost"
             job.error = str(exc)
             self.counts["lost"] += 1
-            self._observe(run_id, "lost", job.spec)
             self._finish(job)
 
     async def _requeue_later(self, job: Job, delay_s: float) -> None:
@@ -475,8 +435,6 @@ class ExperimentService:
 
     def status(self) -> Dict[str, Any]:
         """The queryable service snapshot (the ``status`` op's payload)."""
-        if self._heartbeats is not None:
-            self._heartbeats.pump()
         tenants = {
             name: {
                 "share": account.weight,
@@ -503,5 +461,44 @@ class ExperimentService:
             "fairness": self.fairness_metrics(),
             "store_runs": len(self.store),
             "store_problems": list(self.store.problems),
-            "dashboard": self.state.render(),
+            "dashboard": dashboard(self.jobs.values(), self.cache_hits),
         }
+
+
+def _stage(state: str) -> int:
+    """How far a run in ``state`` has got: queued 0, started 1, ended 2."""
+    return (state != "queued") + (state in TERMINAL_STATES)
+
+
+def dashboard(jobs: Iterable[Job], cache_hits: Iterable[str] = ()) -> str:
+    """The fleet dashboard: one progress line per run, by run label.
+
+    ``cache_hits`` are the labels of runs served from cache at submit
+    time.  Jobs that share a label (a run submitted twice) share a row,
+    which shows the one that got furthest, the earliest of equals.  A
+    done or cached row reads 100%; any other shows the job's last
+    progress sample.
+    """
+    rows: Dict[str, Tuple[str, float]] = {
+        label: ("cached", 1.0) for label in sorted(cache_hits)
+    }
+    for job in jobs:
+        label = parallel.run_label(job.spec)
+        held = rows.get(label)
+        if held is not None and _stage(held[0]) >= _stage(job.state):
+            continue
+        if job.state in ("done", "cached"):
+            fraction = 1.0
+        else:
+            fraction = job.progress / (job.spec.warmup + job.spec.cycles)
+        rows[label] = (job.state, fraction)
+    finished = sum(state in TERMINAL_STATES for state, _ in rows.values())
+    lines = [f"fleet: {finished}/{len(rows)} runs finished"]
+    label_width = max((len(label) for label in rows), default=0)
+    for label in sorted(rows):
+        state, fraction = rows[label]
+        bar = ("#" * round(fraction * BAR_WIDTH)).ljust(BAR_WIDTH)
+        lines.append(
+            f"  {label.ljust(label_width)}  [{bar}] {fraction * 100.0:5.1f}%  {state}"
+        )
+    return "\n".join(lines)

@@ -3,15 +3,35 @@
 ``run_many`` and the figure drivers historically left results in two
 places results go to be forgotten: an in-process memo and a
 content-addressed disk cache keyed by opaque fingerprints.  The store
-is the third, *queryable* layer: an append-only directory of
-``repro.obs/1`` run manifests (one per distinct run, fingerprint-named,
-each embedding the declarative spec and the full cache-canonical
-result payload) plus a line-oriented index for cheap filtering.
+is the third, *queryable* layer: an append-only directory of run
+manifests (one per distinct run, fingerprint-named, each embedding the
+declarative spec and the full cache-canonical result payload) plus a
+line-oriented index for cheap filtering.
 
 Layout under ``root``::
 
     runs/run-<fp16>.json   # schema-validated manifests (atomic writes)
     index.jsonl            # one JSON line per recorded run
+
+Every manifest shares one envelope::
+
+    {
+      "schema": "repro.obs/1",
+      "kind": "run",
+      "host": {"python": ..., "platform": ...},
+      "env": {<declared REPRO_* knobs currently set>},
+      "metrics": {"dotted.name": <number>, ...},
+      "labels": {"dotted.name": "<string>", ...},
+      "fingerprint": ..., "policy": ..., "workload": [...],
+      "window": {...}, "spec": {...},
+      "result": {"digest": ..., "payload": {...}}
+    }
+
+``metrics`` is the flat numeric namespace :meth:`ResultStore.aggregate`
+reads: the result's cycles, per-thread IPC and latency, and its extras
+(``extras.engine_*`` among them).  Manifests deliberately carry no
+wall-clock timestamps: a manifest describes a deterministic
+computation, so re-recording the same run produces the same document.
 
 The index is a pure acceleration structure: :meth:`ResultStore.rebuild`
 regenerates it from the manifests alone, and a corrupted or truncated
@@ -28,17 +48,26 @@ queryable place.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import platform
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs.manifest import ManifestError, emit_run_manifest, load_manifest
-from ..sim.cache import result_from_json
+from .. import env
+from ..sim.cache import result_from_json, result_to_json
 from ..sim.parallel import RunSpec
 from ..sim.system import SimResult
 from .spec import spec_payload
+
+#: Manifest envelope schema identifier; bump on shape changes.
+MANIFEST_SCHEMA = "repro.obs/1"
+
+#: The one manifest kind.
+MANIFEST_KIND = "run"
 
 #: Subdirectory holding the per-run manifests.
 RUNS_DIR = "runs"
@@ -48,6 +77,208 @@ INDEX_NAME = "index.jsonl"
 
 #: The :class:`StoreEntry` fields :meth:`ResultStore.aggregate` groups by.
 GROUP_FIELDS = ("policy", "workload", "seed", "tenant", "source")
+
+
+def host_stamp() -> Dict[str, str]:
+    """The interpreter/platform stamp every manifest and BENCH record carries."""
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
+# -- manifests -------------------------------------------------------------
+
+
+def _check_str_map(value: Any, where: str, problems: List[str]) -> None:
+    if not isinstance(value, dict):
+        problems.append(f"{where} must be an object")
+        return
+    for key, item in value.items():
+        if not isinstance(key, str) or not isinstance(item, str):
+            problems.append(f"{where}[{key!r}] must map string to string")
+            return
+
+
+def validate_manifest(payload: Any) -> List[str]:
+    """Structural problems with ``payload`` (empty list = valid).
+
+    Checks the envelope and the run fields; the one gate every writer
+    and loader shares, so corruption surfaces as a named problem
+    instead of a downstream KeyError.
+    """
+    problems: List[str] = []
+    if not isinstance(payload, dict):
+        return ["manifest must be a JSON object"]
+    if payload.get("schema") != MANIFEST_SCHEMA:
+        problems.append(
+            f"schema must be {MANIFEST_SCHEMA!r}, got {payload.get('schema')!r}"
+        )
+    if payload.get("kind") != MANIFEST_KIND:
+        problems.append(
+            f"kind must be {MANIFEST_KIND!r}, got {payload.get('kind')!r}"
+        )
+    host = payload.get("host")
+    if not isinstance(host, dict) or not isinstance(host.get("python"), str):
+        problems.append("host must be an object with a 'python' string")
+    _check_str_map(payload.get("env"), "env", problems)
+    _check_str_map(payload.get("labels"), "labels", problems)
+    metrics = payload.get("metrics")
+    if not isinstance(metrics, dict):
+        problems.append("metrics must be an object")
+    else:
+        for name, value in metrics.items():
+            if (
+                not isinstance(name, str)
+                or isinstance(value, bool)
+                or not isinstance(value, (int, float))
+            ):
+                problems.append(
+                    f"metrics[{name!r}] must map string to number"
+                )
+                break
+    if not isinstance(payload.get("fingerprint"), str):
+        problems.append("run manifest needs a 'fingerprint' string")
+    if not isinstance(payload.get("policy"), str):
+        problems.append("run manifest needs a 'policy' string")
+    workload = payload.get("workload")
+    if not isinstance(workload, list) or not all(
+        isinstance(name, str) for name in workload
+    ):
+        problems.append("run manifest needs a 'workload' string list")
+    window = payload.get("window")
+    if not isinstance(window, dict) or not all(
+        isinstance(window.get(k), int) for k in ("cycles", "warmup", "seed")
+    ):
+        problems.append(
+            "run manifest needs a 'window' object with integer "
+            "cycles/warmup/seed"
+        )
+    result = payload.get("result")
+    if not isinstance(result, dict) or not isinstance(
+        result.get("digest"), str
+    ):
+        problems.append(
+            "run manifest needs a 'result' object with a 'digest' string"
+        )
+    return problems
+
+
+class ManifestError(ValueError):
+    """An invalid manifest reached a writer or loader."""
+
+
+def write_manifest(path: Union[str, os.PathLike], payload: Dict[str, Any]) -> Path:
+    """Validate and atomically write ``payload``; returns the final path.
+
+    The single choke point every record goes through: an invalid
+    document can never land on disk, and concurrent writers (processes
+    sharing a store root) can never leave a torn file behind.
+    """
+    problems = validate_manifest(payload)
+    if problems:
+        raise ManifestError("; ".join(problems))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem[:16]}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(blob)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def load_manifest(path: Union[str, os.PathLike]) -> Dict[str, Any]:
+    """Read and validate one manifest; raises :class:`ManifestError`."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    problems = validate_manifest(payload)
+    if problems:
+        raise ManifestError(f"{path}: " + "; ".join(problems))
+    return payload
+
+
+def result_digest(result: SimResult) -> str:
+    """Content hash of a result's cache-canonical JSON form.
+
+    Two bit-identical results always digest identically, and an engine
+    change that altered anything shows up as a digest change.
+    """
+    blob = json.dumps(result_to_json(result), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def run_manifest(
+    *,
+    fingerprint: str,
+    policy: str,
+    workload: Sequence[str],
+    cycles: int,
+    warmup: int,
+    seed: int,
+    result: SimResult,
+    source: str = "fresh",
+    attempts: int = 0,
+    tenant: Optional[str] = None,
+    spec_payload: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The manifest payload for one finished simulation run.
+
+    ``source`` labels how the result was obtained (``fresh``, ``memo``,
+    ``disk``, ``cache``, ``store``).  Engine counters ride along as
+    ``extras.engine_*`` metrics, copied from the result's extras.  The
+    metrics depend on the run alone, never on what else this process
+    did before, so re-recording a run produces the same document.
+
+    ``attempts`` counts crash resubmissions the run survived (surfacing
+    ``retried`` jobs in the durable record), ``tenant`` labels the
+    submitting tenant, and ``spec_payload`` preserves the declarative
+    :class:`~repro.sim.parallel.RunSpec` fields.  The full
+    cache-canonical result JSON is inlined, so the document alone can
+    reconstitute a ``SimResult``.
+    """
+    metrics: Dict[str, float] = {}
+    labels: Dict[str, str] = {"run.source": str(source)}
+    if tenant is not None:
+        labels["run.tenant"] = str(tenant)
+    metrics["run.attempts"] = float(attempts)
+    metrics["result.cycles"] = float(result.cycles)
+    for i, thread in enumerate(result.threads):
+        metrics[f"thread.{i}.ipc"] = thread.ipc
+        metrics[f"thread.{i}.mean_read_latency"] = thread.mean_read_latency
+    for key, value in result.extras.items():
+        metrics[f"extras.{key}"] = float(value)
+    payload: Dict[str, Any] = {
+        "schema": MANIFEST_SCHEMA,
+        "kind": MANIFEST_KIND,
+        "host": host_stamp(),
+        "env": env.snapshot(),
+        "metrics": metrics,
+        "labels": labels,
+        "fingerprint": fingerprint,
+        "policy": policy,
+        "workload": list(workload),
+        "window": {"cycles": int(cycles), "warmup": int(warmup), "seed": int(seed)},
+        "result": {
+            "digest": result_digest(result),
+            "payload": result_to_json(result),
+        },
+    }
+    if spec_payload is not None:
+        payload["spec"] = dict(spec_payload)
+    return payload
+
+
+# -- the store -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -228,22 +459,24 @@ class ResultStore:
         existing = self._entries.get(fingerprint)
         if existing is not None:
             return existing
+        manifest = run_manifest(
+            fingerprint=fingerprint,
+            policy=spec.policy,
+            workload=spec.names,
+            cycles=spec.cycles,
+            warmup=spec.warmup,
+            seed=spec.seed,
+            result=result,
+            source=source,
+            attempts=attempts,
+            tenant=tenant,
+            spec_payload=spec_payload(spec),
+        )
+        # Fingerprint-named, so re-recording a run overwrites its own
+        # file instead of accumulating duplicates.
+        name = f"run-{fingerprint[:16]}.json"
         try:
-            path = emit_run_manifest(
-                self.runs_dir,
-                fingerprint=fingerprint,
-                policy=spec.policy,
-                workload=spec.names,
-                cycles=spec.cycles,
-                warmup=spec.warmup,
-                seed=spec.seed,
-                result=result,
-                source=source,
-                attempts=attempts,
-                tenant=tenant,
-                spec_payload=spec_payload(spec),
-                embed_result=True,
-            )
+            path = write_manifest(self.runs_dir / name, manifest)
         except OSError as exc:
             self.problems.append(
                 f"store write failed for {fingerprint[:16]} "
@@ -264,10 +497,18 @@ class ResultStore:
             attempts=attempts,
         )
         self._entries[fingerprint] = entry
+        line = (json.dumps(entry.to_json(), sort_keys=True) + "\n").encode()
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            with open(self.index_path, "a") as handle:
-                handle.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
+            with open(self.index_path, "ab+") as handle:
+                # A crash mid-append leaves a line with no newline; start
+                # on a fresh line so this record is not glued onto it.
+                end = handle.seek(0, os.SEEK_END)
+                if end:
+                    handle.seek(end - 1)
+                    if handle.read(1) != b"\n":
+                        line = b"\n" + line
+                handle.write(line)
         except OSError:
             self.problems.append(
                 f"index append failed for {fingerprint[:16]}; "

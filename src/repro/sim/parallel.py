@@ -29,13 +29,13 @@ image pays a cold warm-up.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import env
-from ..obs import fleet
 from ..policy import BASELINE_POLICY, canonical
 from ..workloads.spec2000 import profile as lookup_profile
 from ..workloads.synthetic import BenchmarkProfile
@@ -178,30 +178,41 @@ def run_label(spec: RunSpec) -> str:
     return label
 
 
-def execute_spec(spec: RunSpec, heartbeats: Any = None) -> SimResult:
+#: Seconds between a worker's progress samples.
+PROGRESS_INTERVAL_S = 0.2
+
+
+def execute_spec(spec: RunSpec, progress: Any = None) -> SimResult:
     """Simulate ``spec`` afresh (no cache layers consulted).
 
-    ``heartbeats`` is a queue for :class:`repro.obs.fleet.WorkerHeartbeat`
-    progress events, or None.  The heartbeat is a side thread sampling
-    ``system.now``; the simulation itself is untouched (chunking the run
-    to emit between chunks would change the engine_* extras and fork
-    cached results — see repro.obs.fleet).
+    ``progress`` is the worker's result pipe, or None.  While the run
+    lasts, a daemon thread sends ``("progress", system.now)`` on it
+    every :data:`PROGRESS_INTERVAL_S` seconds; the simulation itself is
+    untouched (chunking the run to report between chunks would change
+    the engine_* extras and fork cached results).  The thread is joined
+    before this returns, so the caller's result send is the pipe's only
+    writer from then on, and a failed send ends the thread quietly.
     """
     config, profiles = spec.build()
     system = CmpSystem(config, profiles)
-    if heartbeats is None:
+    if progress is None:
         return system.run(spec.cycles, warmup=spec.warmup)
-    heartbeat = fleet.WorkerHeartbeat(
-        heartbeats, run_label(spec), spec.warmup + spec.cycles
-    )
-    heartbeat.start(system)
+    stop = threading.Event()
+
+    def sample() -> None:
+        while not stop.wait(PROGRESS_INTERVAL_S):
+            try:
+                progress.send(("progress", system.now))
+            except OSError:
+                return
+
+    sampler = threading.Thread(target=sample, daemon=True)
+    sampler.start()
     try:
-        result = system.run(spec.cycles, warmup=spec.warmup)
-    except BaseException:
-        heartbeat.finish("error")
-        raise
-    heartbeat.finish("done")
-    return result
+        return system.run(spec.cycles, warmup=spec.warmup)
+    finally:
+        stop.set()
+        sampler.join()
 
 
 def spec_images(spec: RunSpec) -> Dict[Tuple, bytes]:
@@ -210,7 +221,7 @@ def spec_images(spec: RunSpec) -> Dict[Tuple, bytes]:
 
 
 def execute_exchanging(
-    spec: RunSpec, images: Dict[Tuple, bytes], heartbeats: Any = None
+    spec: RunSpec, images: Dict[Tuple, bytes], progress: Any = None
 ) -> Tuple[SimResult, Dict[Tuple, bytes]]:
     """Worker side of the warm-L2 image exchange: simulate ``spec``.
 
@@ -220,12 +231,12 @@ def execute_exchanging(
     that this process did not hold before — for the parent to adopt and
     hand to later workers.  Images are pickled bytes and travel as
     arguments and results, never through fork inheritance.
-    ``heartbeats`` goes to :func:`execute_spec`.
+    ``progress`` goes to :func:`execute_spec`.
     """
     CmpSystem.adopt_images(images)
     keys = CmpSystem.prewarm_keys(*spec.build())
     held = CmpSystem.prewarm_images(keys)
-    result = execute_spec(spec, heartbeats)
+    result = execute_spec(spec, progress)
     built = [key for key in keys if key not in held]
     return result, CmpSystem.prewarm_images(built)
 

@@ -26,7 +26,6 @@ from ..controller.request import MemoryRequest, RequestKind
 from ..cpu.core_model import OooCore
 from ..cpu.hierarchy import CacheHierarchy
 from ..dram.dram_system import DramSystem
-from ..obs.engine import ENGINE_EXTRA_PREFIX, engine_extras
 from ..observer import Observer, subscribe
 from ..policy import make_policy
 from .config import SystemConfig
@@ -979,7 +978,6 @@ class CmpSystem:
             * self.dram.num_ranks
             * self.config.num_channels
         )
-        # Execution-facts block (engine_* keys) — see repro.obs.engine.
         extras = engine_extras(self)
         return SimResult(
             policy=self.controller.policy.name,
@@ -992,13 +990,53 @@ class CmpSystem:
         )
 
 
+#: Extras keys carrying execution (not simulation) facts; stripped by
+#: :func:`comparable_result` so results compare across engines.
+ENGINE_EXTRA_PREFIX = "engine_"
+
+
+def engine_extras(system: CmpSystem) -> Dict[str, float]:
+    """The ``engine_*`` extras block for one finished run.
+
+    These keys are part of the cached-result payload, so their names
+    and values are frozen here; run manifests carry them as
+    ``extras.engine_*`` metrics.  Empty for per-cycle runs (no steps,
+    no skips), engine counters for event runs, wake-index internals
+    only when the sharded index drove the run.
+    """
+    extras: Dict[str, float] = {}
+    total = system.engine_steps + system.engine_cycles_skipped
+    if total:
+        extras["engine_steps"] = float(system.engine_steps)
+        extras["engine_cycles_skipped"] = float(system.engine_cycles_skipped)
+        extras["engine_skip_ratio"] = system.engine_cycles_skipped / total
+        extras["engine_event_target_calls"] = float(
+            system.engine_event_target_calls
+        )
+        windex = system._windex
+        if windex is not None:
+            # Wake-index internals: stale-entry collection rate and the
+            # fraction of component-ticks the sparse stepper actually
+            # executed (1.0 would be the broadcast engine).
+            extras["engine_wake_index"] = 1.0
+            extras["engine_stale_pops"] = float(windex.stale_pops)
+            extras["engine_wake_publishes"] = float(windex.publishes)
+            extras["engine_component_ticks"] = float(
+                system.engine_component_ticks
+            )
+            possible = system.engine_steps * system._num_slots
+            extras["engine_sparse_tick_fraction"] = (
+                system.engine_component_ticks / possible if possible else 0.0
+            )
+    return extras
+
+
 def comparable_result(result: SimResult) -> SimResult:
     """Strip engine instrumentation so results compare across engines.
 
     The ``engine_*`` extras describe how the run was executed (steps vs
     skipped cycles), not what it computed; differential checks between
-    the event and cycle engines must ignore them.  The prefix is owned
-    by :mod:`repro.obs.engine`, next to the code that emits the keys.
+    the event and cycle engines must ignore them.
     """
     extras = {
         key: value

@@ -45,8 +45,13 @@ class TestServeImports:
         source = "import random\nimport datetime\n"
         assert len(det009("repro/serve/store.py", source)) == 2
 
+    def test_time_import_in_store_is_flagged(self):
+        # The run manifest writer lives in the store, under DET009.
+        findings = det009("repro/serve/store.py", "import time\n")
+        assert [f.rule for f in findings] == ["DET009"]
+
     def test_outside_serve_is_not_det009(self):
-        assert det009("repro/obs/phases.py", "import time\n") == []
+        assert det009("repro/sim/parallel.py", "import time\n") == []
 
     def test_clean_serve_module_passes(self):
         assert det009("repro/serve/spec.py", "import asyncio\nimport json\n") == []

@@ -42,17 +42,17 @@ def empty_memo():
     CmpSystem._prewarm_memo.clear()
 
 
-def _build_then_die(spec, heartbeats=None):
+def _build_then_die(spec, progress=None):
     CmpSystem(*spec.build())
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _build_then_fail(spec, heartbeats=None):
+def _build_then_fail(spec, progress=None):
     CmpSystem(*spec.build())
     raise ValueError("fault after the build")
 
 
-def _build_then_hang(spec, heartbeats=None):
+def _build_then_hang(spec, progress=None):
     CmpSystem(*spec.build())
     time.sleep(60)
 

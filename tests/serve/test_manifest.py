@@ -1,20 +1,30 @@
-"""Run manifests: validation, atomic writes, fingerprint naming."""
+"""Run manifests: validation, atomic writes, fingerprint naming, and
+loading a store that an earlier version of the code wrote."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.obs.manifest import (
+from repro.serve.store import (
     MANIFEST_SCHEMA,
     ManifestError,
-    emit_run_manifest,
+    ResultStore,
     load_manifest,
     result_digest,
     run_manifest,
     validate_manifest,
     write_manifest,
 )
+from repro.sim.cache import result_from_json, result_to_json
+from repro.sim.parallel import execute_spec, group_spec
 from repro.sim.system import SimResult, ThreadResult
+
+#: A store an earlier version of this code wrote, under the same schema
+#: id: one FQ-VFTF vpr+art run, 600+150 cycles at seed 0, tenant
+#: ``alice``.  Only its host platform stamp was generalized.
+PARENT_STORE = Path(__file__).parent / "data" / "parent_store"
 
 
 def _result():
@@ -124,18 +134,37 @@ class TestRunManifests:
         assert payload["metrics"]["thread.0.ipc"] == 0.5
         assert payload["metrics"]["extras.engine_steps"] == 900.0
 
-    def test_emit_names_file_by_fingerprint(self, tmp_path):
-        fingerprint = "cd" * 32
-        path = emit_run_manifest(
-            tmp_path,
-            fingerprint=fingerprint,
-            policy="FQ-VFTF",
-            workload=["vpr"],
-            cycles=1000,
-            warmup=250,
-            seed=0,
-            result=_result(),
-            source="cache",
+    def test_run_manifest_embeds_the_result(self):
+        payload = _manifest()
+        assert payload["result"]["digest"] == result_digest(_result())
+        assert payload["result"]["payload"] == result_to_json(_result())
+
+    def test_store_names_file_by_fingerprint(self, tmp_path, tiny_result):
+        spec = group_spec(("vpr", "art"), "FR-FCFS", 600, 150, 0)
+        entry = ResultStore(tmp_path).record(spec, tiny_result, source="cache")
+        assert entry.file == f"run-{spec.fingerprint()[:16]}.json"
+        manifest = load_manifest(tmp_path / "runs" / entry.file)
+        assert manifest["labels"]["run.source"] == "cache"
+
+
+class TestParentStore:
+    def test_parent_written_store_loads(self, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(PARENT_STORE, root)
+        store = ResultStore(root)
+        assert store.problems == []
+        (entry,) = store.entries()
+        assert (entry.policy, entry.tenant, entry.source) == (
+            "FQ-VFTF", "alice", "fresh",
         )
-        assert path.name == f"run-{fingerprint[:16]}.json"
-        assert load_manifest(path)["labels"]["run.source"] == "cache"
+        assert store.metrics(entry)["result.cycles"] == 600.0
+        assert store.rebuild() == 1 and store.problems == []
+
+    def test_parent_written_result_reloads_bit_identically(self):
+        (path,) = sorted((PARENT_STORE / "runs").glob("run-*.json"))
+        manifest = load_manifest(path)
+        assert manifest["schema"] == MANIFEST_SCHEMA
+        stored = result_from_json(manifest["result"]["payload"])
+        assert result_digest(stored) == manifest["result"]["digest"]
+        spec = group_spec(("vpr", "art"), "FQ-VFTF", 600, 150, 0)
+        assert result_to_json(stored) == result_to_json(execute_spec(spec))

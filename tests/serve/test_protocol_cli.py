@@ -311,6 +311,35 @@ class TestCliDispatch:
         assert code == 2
         assert "at least one benchmark" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "counts, code",
+        [
+            ({"done": 2, "cached": 0, "lost": 0, "error": 0}, 0),
+            ({"done": 1, "cached": 0, "lost": 0, "error": 1}, 1),
+            ({"done": 1, "cached": 0, "lost": 1, "error": 0}, 1),
+        ],
+        ids=["clean", "error", "lost"],
+    )
+    def test_submit_wait_exits_one_on_a_failed_run(
+        self, tmp_path, capsys, monkeypatch, counts, code
+    ):
+        def fake_request(root, payload):
+            if payload["op"] == "submit":
+                return {"ok": True, "ticket": {
+                    "runs": 2, "tenant": "alice", "share": 1.0,
+                    "queued": 2, "cached": 0,
+                }}
+            return {"ok": True, "status": {"outstanding": 0, "counts": counts}}
+
+        monkeypatch.setattr(serve_cli, "request", fake_request)
+        argv = ["submit", "--root", str(tmp_path), "--wait"]
+        assert serve_cli.main(argv) == code
+        out = capsys.readouterr().out
+        assert (
+            f"submit: drained ({counts['done']} done, 0 cached, "
+            f"{counts['lost']} lost, {counts['error']} error)"
+        ) in out
+
     def test_default_root_honors_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "/tmp/custom-root")
         assert serve_cli.default_root() == "/tmp/custom-root"

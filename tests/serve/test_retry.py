@@ -39,13 +39,13 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _flaky_execute(spec, heartbeats=None):
+def _flaky_execute(spec, progress=None):
     # O_EXCL makes the claim atomic: of two workers that get here
     # together, only the one whose create succeeds kills itself.
     try:
         fd = os.open(os.environ[SENTINEL_VAR], os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        return _REAL_EXECUTE(spec, heartbeats)
+        return _REAL_EXECUTE(spec, progress)
     os.close(fd)
     os.kill(os.getpid(), signal.SIGKILL)
 

@@ -256,11 +256,10 @@ class TestRetrySemantics:
 class TestDispatchWakeups:
     @pytest.mark.parametrize("crash_first", [0, 1], ids=["finish", "requeue"])
     def test_dispatch_does_not_wait_for_the_tick(
-        self, tmp_path, tiny_result, monkeypatch, crash_first
+        self, tmp_path, tiny_result, crash_first
     ):
-        # With a 30 s tick, only the submit, finish and requeue wakeups
-        # can drain four jobs through one worker inside the timeout.
-        monkeypatch.setattr("repro.serve.service._TICK_S", 30.0)
+        # The scheduler has no timer tick: only the submit, finish and
+        # requeue wakeups can drain four jobs through one worker.
         service = ExperimentService(
             tmp_path, workers=1, retry_policy=FAST_RETRY,
             executor=InstantExecutor(tiny_result, crash_first=crash_first),
@@ -268,7 +267,7 @@ class TestDispatchWakeups:
 
         async def scenario():
             await service.start()
-            await asyncio.sleep(0)  # the scheduler parks on its tick
+            await asyncio.sleep(0)  # the scheduler parks on its event
             service.submit_sweep("alice", small_sweep())
             await asyncio.wait_for(service.drain(), timeout=10)
             await service.stop()

@@ -131,6 +131,25 @@ class TestDamageTolerance:
         assert len(reloaded.problems) == 2
         assert all("corrupt index line" in note for note in reloaded.problems)
 
+    def test_record_after_a_torn_index_line_starts_a_new_line(
+        self, tmp_path, tiny_result
+    ):
+        # A crash mid-append leaves the index ending in a fragment.
+        ResultStore(tmp_path).record(spec_for(), tiny_result)
+        index = tmp_path / "index.jsonl"
+        index.write_text(index.read_text()[:40])
+        torn = ResultStore(tmp_path)
+        assert len(torn) == 0 and len(torn.problems) == 1
+        later = spec_for(seed=1)
+        torn.record(later, tiny_result)
+        reloaded = ResultStore(tmp_path)
+        assert [entry.seed for entry in reloaded.entries()] == [1]
+        assert len(reloaded.problems) == 1  # only the fragment
+        assert result_to_json(reloaded.get_result(later)) == result_to_json(
+            tiny_result
+        )
+        assert reloaded.rebuild() == 2  # the torn run's manifest survived
+
     def test_rebuild_regenerates_lost_index(self, tmp_path, tiny_result):
         store = ResultStore(tmp_path)
         store.record(spec_for(), tiny_result, tenant="alice")

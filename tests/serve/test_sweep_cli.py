@@ -1,44 +1,27 @@
-"""``repro-fqms sweep``: a grid through an in-process experiment service."""
+"""``repro-fqms sweep``: a grid through an in-process experiment service.
+
+The suite's autouse fixture isolates the disk cache through
+``REPRO_CACHE_DIR`` (not ``configure_cache``), which matters here:
+``sweep`` itself reconfigures the cache from the environment on every
+invocation.
+"""
 
 import multiprocessing
 
 import pytest
 
-from repro.obs.manifest import load_manifest
 from repro.serve.cli import main as serve_main
-from repro.serve.store import ResultStore
+from repro.serve.store import ResultStore, load_manifest
 from repro.sim import parallel, runner
-from repro.sim.cache import configure_cache
 
 
 def main(argv):
     return serve_main(["sweep"] + list(argv))
 
 
-def _fault(spec, heartbeats=None):
+def _fault(spec, progress=None):
     # Module level, so a forked worker runs it in place of the real one.
     raise ValueError("injected fault")
-
-
-@pytest.fixture(autouse=True)
-def _isolated_caches(tmp_path, monkeypatch):
-    """Each test gets a private disk cache and a clean memo/env.
-
-    The cache goes through ``REPRO_CACHE_DIR`` (not ``configure_cache``)
-    because ``sweep`` itself reconfigures the cache from the environment
-    on every invocation.
-    """
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for name in (
-        "REPRO_SERVE", "REPRO_SERVE_WORKERS",
-        "REPRO_SERVE_RETRIES", "REPRO_SERVE_TIMEOUT",
-    ):
-        monkeypatch.delenv(name, raising=False)
-    runner.clear_solo_cache()
-    configure_cache()  # pick up the isolated REPRO_CACHE_DIR
-    yield
-    runner.clear_solo_cache()
-    configure_cache()  # back to env-resolved default
 
 
 class TestParsing:
