@@ -16,9 +16,16 @@ correctness argument rests on:
   once a bank has been continuously active for the inversion bound
   ``x`` (default t_RAS), any request-driven command issued on that
   bank must serve the earliest-virtual-finish-time request among the
-  bank's pending requests.  The checker re-derives the priority key
-  from the request fields rather than calling the scheduler's key
+  bank's pending requests.  The checker computes every pending
+  request's key itself, from the thread's VTMS registers and the live
+  bank's row state (Eqs 3 and 7 with Table 3's service times), rather
+  than reading the VFT stamps the scheduler writes or calling its key
   function.
+* **Accept order** — each thread's requests reach a controller in
+  ``(arrival_time, seq)`` order and, under arrival accounting, with
+  rising fixed VFTs (``C.R_i`` only grows).  The scheduler keys only
+  each thread's oldest request per command kind, which is sound only
+  in that order.
 * **Request conservation** — every request the controller accepts is
   CAS-issued at most once and completes at most once; nothing
   completes that was never accepted, and the accept/issue/complete
@@ -73,14 +80,15 @@ class SchedulerInvariantChecker:
     """Asserts scheduler invariants for one memory controller.
 
     The checker only *reads* controller state (policy flags, VTMS
-    registers); all bookkeeping it bases verdicts on is derived from
-    the observed event stream.
+    registers, the banks' open rows); all other bookkeeping it bases
+    verdicts on is derived from the observed event stream.
     """
 
     def __init__(self, controller: "MemoryController"):
         self.controller = controller
         self.policy = controller.policy
         self.vtms = controller.vtms
+        self.dram = controller.dram
         num_banks = controller.dram.num_banks
         self.banks: Dict[Tuple[int, int], _BankView] = {
             (rank, bank): _BankView()
@@ -103,6 +111,9 @@ class SchedulerInvariantChecker:
         self.check_inversion = (
             self.policy.fq_family and controller.write_drain == "fcfs"
         )
+        #: Thread -> ``(arrival_time, seq, virtual_finish_time)`` of its
+        #: last accept (the accept-order invariant).
+        self._last_accept: Dict[int, Tuple[int, int, float]] = {}
         # Conservation ledgers (request seq -> lifecycle stage).
         self._pending_seqs: Set[int] = set()
         self._inflight_seqs: Set[int] = set()
@@ -123,25 +134,41 @@ class SchedulerInvariantChecker:
     # -- priority key (independent re-derivation) --------------------------
 
     def _priority_key(self, request: "MemoryRequest") -> Tuple:
-        """Re-derive the policy ordering key from request fields.
+        """Re-derive the policy ordering key from the VTMS registers.
 
         Mirrors the *specification* of :meth:`repro.core.policies.
-        Policy.request_key` without calling it, so a bug in the
-        scheduler's memoized key path shows up as a disagreement here.
+        Policy.request_key` without calling the scheduler: the VST is
+        Eq 3, ``max(Ra, B_j.R)``, and the VFT Eq 7,
+        ``max(VST + B.L/φ, C.R) + C.L/φ``, over the thread's registers
+        now, with ``B.L`` the Table 3 service time of the live bank's
+        row state.  Arrival accounting's VFT is the one the controller
+        fixed at accept.  A scheduler keying from stale or wrong
+        estimates therefore shows up as a disagreement here.
         """
-        if self.policy.uses_vtms:
-            if self.policy.start_time_priority:
-                return (
-                    request.virtual_start_time,
-                    request.arrival_time,
-                    request.seq,
-                )
-            return (
-                request.virtual_finish_time,
-                request.arrival_time,
-                request.seq,
-            )
-        return (request.arrival_time, request.seq)
+        policy = self.policy
+        if not policy.uses_vtms:
+            return (request.arrival_time, request.seq)
+        if policy.arrival_accounting:
+            vft = request.virtual_finish_time
+        else:
+            thread = self.vtms[request.thread_id]  # type: ignore[index]
+            dram = self.dram
+            index = request.rank * dram.num_banks + request.bank
+            start = max(thread.oldest_arrival, thread.bank_finish[index])
+            if policy.start_time_priority:
+                return (start, request.arrival_time, request.seq)
+            open_row = dram.bank(request.rank, request.bank).open_row
+            timing = dram.timing
+            if open_row is None:
+                service = timing.service_closed
+            elif open_row == request.row:
+                service = timing.service_row_hit
+            else:
+                service = timing.service_conflict
+            share = thread.share
+            vft = max(start + service / share, thread.channel_finish)
+            vft += timing.burst * (1.0 / share)
+        return (vft, request.arrival_time, request.seq)
 
     # -- shared monotonicity checks ----------------------------------------
 
@@ -192,6 +219,19 @@ class SchedulerInvariantChecker:
                 f"request seq={seq} accepted twice",
                 now,
             )
+        order = (request.arrival_time, seq, request.virtual_finish_time)
+        last = self._last_accept.get(request.thread_id)
+        if last is not None and (
+            order[:2] <= last[:2]
+            or self.policy.arrival_accounting and order[2] <= last[2]
+        ):
+            raise InvariantViolation(
+                "accept-order",
+                f"thread {request.thread_id} accepted (arrival_time, seq, "
+                f"fixed VFT) {order} after {last}",
+                now,
+            )
+        self._last_accept[request.thread_id] = order
         self._pending_seqs.add(seq)
         self.accepted += 1
         self.banks[(request.rank, request.bank)].pending.add(request)

@@ -17,7 +17,14 @@ been active for ``x`` cycles, bounding priority-inversion blocking
 time at the cost of some data-bus utilization.
 
 Selection is one method, :meth:`BankScheduler.candidate`, for every
-policy (docs/INTERNALS.md, "Hot-path kernels").  The scheduler keeps
+policy (docs/INTERNALS.md, "Hot-path kernels").  The queue is kept in
+``(arrival_time, seq)`` order, and every policy's key is a per-thread
+prefix followed by ``(arrival_time, seq)``; under deferred VTMS
+accounting the prefix is the VFT (or VST), which reads only the
+thread's registers and the Table 3 class of the request's row.  So a
+thread's queued requests of one command kind share a level and a
+prefix, and only the oldest of each such group is keyed
+(:meth:`BankScheduler.key`), from live registers.  The scheduler keeps
 read/write and row-hit counts over its queue, so the common queue
 shapes (closed bank, conflicts only, all-hit reads) pick the min-key
 request under one readiness probe, "which command kinds does this bank
@@ -27,7 +34,7 @@ system's legality kernel instead of a queue walk.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from ..core.vtms import VtmsState
 from ..dram.commands import CommandType
@@ -134,6 +141,7 @@ class BankScheduler:
         #: False, write requests are held back so reads proceed without
         #: bus-turnaround penalties.
         self.writes_eligible = True
+        #: Pending requests in ``(arrival_time, seq)`` order.
         self.queue: List[MemoryRequest] = []
         #: Queue-shape counters over the FULL queue (ignoring the
         #: write-drain gate): request counts by kind and how many of
@@ -152,30 +160,31 @@ class BankScheduler:
         # opened the row.
         self.open_row_thread: Optional[int] = None
         self.open_row_arrival: float = 0.0
-        #: Bumped when the bank's row state changes; finish-time
-        #: estimates depend on it through Table 3's service times.
-        self._row_epoch = 0
-        #: Bumped on queue membership changes; part of the scan stamp
-        #: that lets :meth:`_refresh_finish_times` skip entirely.
-        self._queue_version = 0
-        #: Inputs of the last finish-time scan (all three are monotone
-        #: counters, so equality means "nothing moved").
-        self._scan_global = -1
-        self._scan_row = -1
-        self._scan_queue = -1
         #: The policy's key function.
         self._key_of = policy.request_key
-        if not policy.memoize_keys:
-            self._request_key = self._key_of  # type: ignore[method-assign]
+        #: Deferred VTMS accounting (paper §3.2): :meth:`key` stamps
+        #: each VFT/VST from live registers before the key reads it.
+        #: Arrival accounting fixes the VFT at accept instead.
+        self._deferred = policy.uses_vtms and not policy.arrival_accounting
         if policy.uses_vtms and vtms is None:
             raise ValueError(f"policy {policy.name} requires VTMS state")
 
     # -- queue management --------------------------------------------------
 
     def add(self, request: MemoryRequest) -> None:
+        """Queue ``request`` in ``(arrival_time, seq)`` order.
+
+        Inserts from the tail, so the order holds for any caller; the
+        controller accepts in that order already, so there the scan
+        stops at once.
+        """
         self._ensure_counts()
-        self.queue.append(request)
-        self._queue_version += 1
+        queue = self.queue
+        age = (request.arrival_time, request.seq)
+        i = len(queue)
+        while i and (queue[i - 1].arrival_time, queue[i - 1].seq) > age:
+            i -= 1
+        queue.insert(i, request)
         if request.is_read:
             self._n_read += 1
             if request.row == self._counted_row:
@@ -188,7 +197,6 @@ class BankScheduler:
     def remove(self, request: MemoryRequest) -> None:
         self._ensure_counts()
         self.queue.remove(request)
-        self._queue_version += 1
         if request.is_read:
             self._n_read -= 1
             if request.row == self._counted_row:
@@ -220,92 +228,64 @@ class BankScheduler:
     def __len__(self) -> int:
         return len(self.queue)
 
-    # -- helpers -------------------------------------------------------------
+    # -- keys ------------------------------------------------------------------
 
-    def _bank_state(self):
-        return self._bank
+    def key(self, request: MemoryRequest) -> Tuple:
+        """``request``'s policy ordering key, from live state.
 
-    def _request_key(self, request: MemoryRequest) -> Tuple:
-        """Policy ordering key, memoized per request.
-
-        FR-FCFS keys are fixed at arrival; VTMS keys change only when
-        :meth:`_refresh_finish_times` recomputes a request's estimate,
-        which clears ``key_cache`` — so the key is rebuilt exactly when
-        its inputs changed.  Policies whose keys read mutable policy
-        state opt out of the memo (``memoize_keys`` False):
-        construction rebinds this name to the raw key function, so they
-        recompute every call and the memoizing path stays branch-free.
+        Under deferred accounting the request's VST and VFT are first
+        stamped with Eqs 3 and 7 over its thread's registers now and
+        the Table 3 service time of the bank's row state, so
+        :meth:`SchedulingPolicy.request_key` reads current values.
+        Only the keyed requests carry fresh stamps.
         """
-        key = request.key_cache
-        if key is None:
-            key = self._key_of(request)
-            request.key_cache = key
-        return key
+        if self._deferred:
+            thread = self.vtms.threads[request.thread_id]  # type: ignore[union-attr]
+            index = self.vtms_bank_index
+            request.virtual_start_time = thread.start_time_estimate(index)
+            request.virtual_finish_time = thread.finish_time_estimate(
+                index, self._bank.state_service_time(request.row)
+            )
+        return self._key_of(request)
+
+    def _min_key_head(
+        self, visible: List[MemoryRequest]
+    ) -> Tuple[MemoryRequest, Tuple]:
+        """The min-key request of ``visible`` and its key.
+
+        Keys only each thread's oldest request per Table 3 class (a hit
+        of the open row or not): the rest of such a group share its
+        VFT and key prefix and sort after it on ``(arrival_time, seq)``.
+        """
+        key_of = self.key
+        if len(visible) == 1:
+            return visible[0], key_of(visible[0])
+        open_row = self._bank.open_row
+        seen: Set[int] = set()
+        best = visible[0]
+        best_key: Any = None
+        for request in visible:
+            group = 2 * request.thread_id + (request.row == open_row)
+            if group in seen:
+                continue
+            seen.add(group)
+            key = key_of(request)
+            if best_key is None or key < best_key:
+                best, best_key = request, key
+        return best, best_key
 
     def _next_command_kind(self, request: MemoryRequest) -> CommandType:
         """The first SDRAM command ``request`` needs in the current state."""
-        bank = self._bank_state()
+        bank = self._bank
         if bank.open_row is None:
             return CommandType.ACTIVATE
         if bank.open_row == request.row:
             return CommandType.READ if request.is_read else CommandType.WRITE
         return CommandType.PRECHARGE
 
-    def _refresh_finish_times(self) -> None:
-        """Recompute each pending request's VFT from live VTMS registers.
-
-        Implements the paper's deferred finish-time computation: the
-        estimate uses the bank-state-dependent service time (Table 3)
-        and the thread's current registers, so it tracks the service
-        the thread has actually consumed.  Clearing ``key_cache`` here
-        is what keeps the per-request key memo sound.
-        """
-        vtms = self.vtms
-        assert vtms is not None  # callers gate on policy.uses_vtms
-        if (
-            vtms.global_epoch == self._scan_global
-            and self._row_epoch == self._scan_row
-            and self._queue_version == self._scan_queue
-        ):
-            # VTMS registers, bank row state, and queue membership are
-            # all unchanged since the last scan, so every request's
-            # estimate is still current.  Epochs and the queue version
-            # only move on arrival/issue events, never on idle cycles.
-            return
-        self._scan_global = vtms.global_epoch
-        self._scan_row = self._row_epoch
-        self._scan_queue = self._queue_version
-        bank = self._bank_state()
-        row_epoch = self._row_epoch
-        bank_index = self.vtms_bank_index
-        for request in self.queue:
-            thread = vtms[request.thread_id]
-            epoch = thread.epoch
-            if (
-                request.vft_thread_epoch == epoch
-                and request.vft_row_epoch == row_epoch
-            ):
-                continue
-            service = bank.state_service_time(request.row)
-            request.virtual_start_time = thread.start_time_estimate(bank_index)
-            request.virtual_finish_time = thread.finish_time_estimate(
-                bank_index, service
-            )
-            request.vft_thread_epoch = epoch
-            request.vft_row_epoch = row_epoch
-            request.key_cache = None
-
     def _candidate_for(
-        self,
-        request: MemoryRequest,
-        now: int,
-        kind: Optional[CommandType] = None,
-        ready: Optional[bool] = None,
+        self, request: MemoryRequest, key: Tuple, kind: CommandType, ready: bool
     ) -> CandidateCommand:
-        if kind is None:
-            kind = self._next_command_kind(request)
-        if ready is None:
-            ready = self.dram.can_issue(kind, self.rank, self.bank, now)
         charge_thread = request.thread_id
         charge_arrival = request.virtual_arrival
         if kind is CommandType.PRECHARGE and self.open_row_thread is not None:
@@ -319,7 +299,7 @@ class BankScheduler:
             bank=self.bank,
             row=request.row,
             ready=ready,
-            key=self._request_key(request),
+            key=key,
             request=request,
             charge_thread=charge_thread,
             charge_arrival=charge_arrival,
@@ -327,7 +307,7 @@ class BankScheduler:
 
     def _auto_precharge(self, now: int) -> Optional[CandidateCommand]:
         """Closed-page policy: close a row with no pending accesses."""
-        bank = self._bank_state()
+        bank = self._bank
         if bank.open_row is None:
             return None
         ready = self.dram.can_issue(CommandType.PRECHARGE, self.rank, self.bank, now)
@@ -342,11 +322,6 @@ class BankScheduler:
             charge_thread=self.open_row_thread,
             charge_arrival=self.open_row_arrival,
         )
-
-    def _min_key_request(self, visible: List[MemoryRequest]) -> MemoryRequest:
-        if len(visible) == 1:
-            return visible[0]
-        return min(visible, key=self._request_key)
 
     # -- candidate selection ---------------------------------------------------
 
@@ -365,16 +340,15 @@ class BankScheduler:
         penalty, key): ready commands first, then CAS before RAS, then
         the policy's ordering key.  Under ``key_over_cas`` (BLISS) the
         RAS penalty is held at zero, so the key outranks the
-        CAS-over-RAS preference.  The queue-shape counters collapse the
-        single-kind shapes (closed bank, conflict-only queue, all-hit
-        reads) to the min-key request under one readiness probe; only
-        mixed queues take the full pass.
+        CAS-over-RAS preference.  A thread's requests of one command
+        kind share the level and the key prefix, so only the oldest of
+        each (thread, kind) is keyed.  The queue-shape counters collapse
+        the single-kind shapes (closed bank, conflict-only queue,
+        all-hit reads) to the min-key request under one readiness
+        probe; only mixed queues take the full pass.
         """
         bank = self._bank
         policy = self.policy
-        queue = self.queue
-        if policy.uses_vtms and not policy.arrival_accounting and queue:
-            self._refresh_finish_times()
         self._ensure_counts()
 
         # Write-drain gating: when writes are held back, schedule as if
@@ -390,6 +364,7 @@ class BankScheduler:
             ):
                 return self._auto_precharge(now)
             return None
+        queue = self.queue
         visible = queue if eligible else [r for r in queue if r.is_read]
 
         if open_row is None:
@@ -404,7 +379,10 @@ class BankScheduler:
             # FQ bank rule: commit to the earliest-virtual-finish-time
             # request and wait for its first command to become ready,
             # even if other requests (e.g. row hits) are ready now.
-            return self._candidate_for(self._min_key_request(visible), now)
+            request, key = self._min_key_head(visible)
+            kind = self._next_command_kind(request)
+            ready = self.dram.can_issue(kind, self.rank, self.bank, now)
+            return self._candidate_for(request, key, kind, ready)
         else:
             hits = (
                 self._n_read_hit + self._n_write_hit
@@ -422,60 +400,57 @@ class BankScheduler:
             # reads): every candidate shares one command kind and one
             # readiness, so the min-key request wins.
             ready = self.dram.can_issue(kind, self.rank, self.bank, now)
-            return self._candidate_for(
-                self._min_key_request(visible), now, kind=kind, ready=ready
-            )
+            request, key = self._min_key_head(visible)
+            return self._candidate_for(request, key, kind, ready)
 
         # Mixed kinds on an open row: one pass.  Each request's level
-        # is 2 * (not ready) + RAS penalty, probed once per kind, and
-        # ties on level fall to the policy key.
+        # is 2 * (not ready) + RAS penalty, probed once per kind; ties
+        # on level fall to the key of each (thread, kind)'s oldest.
         rank, bank_index = self.rank, self.bank
         can_issue = self.dram.can_issue
-        key_of = self._key_of
-        memoize = policy.memoize_keys
+        key_of = self.key
         ras = 0 if policy.key_over_cas else 1
         read, write = CommandType.READ, CommandType.WRITE
         precharge = CommandType.PRECHARGE
         read_level = write_level = pre_level = -1
+        seen: Set[int] = set()
         best_request = visible[0]
         best_kind = precharge
         best_level = 4
         best_key: Any = None
         for request in visible:
             if request.row != open_row:
-                kind = precharge
+                kind, slot = precharge, 0
                 level = pre_level
                 if level < 0:
                     level = pre_level = (
                         ras if can_issue(precharge, rank, bank_index, now) else ras + 2
                     )
             elif request.is_read:
-                kind = read
+                kind, slot = read, 1
                 level = read_level
                 if level < 0:
                     level = read_level = (
                         0 if can_issue(read, rank, bank_index, now) else 2
                     )
             else:
-                kind = write
+                kind, slot = write, 2
                 level = write_level
                 if level < 0:
                     level = write_level = (
                         0 if can_issue(write, rank, bank_index, now) else 2
                     )
-            if memoize:
-                key = request.key_cache
-                if key is None:
-                    key = key_of(request)
-                    request.key_cache = key
-            else:
-                key = key_of(request)
-            if level < best_level or (level == best_level and key < best_key):
+            if level > best_level:
+                continue
+            group = 3 * request.thread_id + slot
+            if group in seen:
+                continue
+            seen.add(group)
+            key = key_of(request)
+            if level < best_level or key < best_key:
                 best_request, best_kind = request, kind
                 best_level, best_key = level, key
-        return self._candidate_for(
-            best_request, now, kind=best_kind, ready=best_level < 2
-        )
+        return self._candidate_for(best_request, best_key, best_kind, best_level < 2)
 
     # -- wake bounds ---------------------------------------------------------
 
@@ -564,13 +539,10 @@ class BankScheduler:
                     return now
                 kind = self._uniform_kind()
                 if kind is None:
-                    if not self.policy.arrival_accounting:
-                        # The nominee comes from VFT ordering, so the
-                        # estimates must be current before taking the
-                        # min (candidate() refreshes them the same way).
-                        self._refresh_finish_times()
+                    # The nominee comes from VFT ordering, keyed from
+                    # live registers as candidate() keys it.
                     kind = self._next_command_kind(
-                        self._min_key_request(self.queue)
+                        self._min_key_head(self.queue)[0]
                     )
                 t = self.dram.earliest_issue(kind, self.rank, self.bank)
                 return now if t is None else t
@@ -623,11 +595,9 @@ class BankScheduler:
         if cand.kind is CommandType.ACTIVATE and cand.request is not None:
             self.open_row_thread = cand.request.thread_id
             self.open_row_arrival = cand.request.virtual_arrival
-            self._row_epoch += 1
             self._recount_hits()
         elif cand.kind is CommandType.PRECHARGE:
             self.open_row_thread = None
-            self._row_epoch += 1
             self._n_read_hit = 0
             self._n_write_hit = 0
             self._counted_row = None

@@ -351,12 +351,12 @@ class MemoryController:
         return wake
 
     def _issue(self, cand: CandidateCommand, now: int) -> None:
-        self.dram.issue(cand.kind, cand.rank, cand.bank, cand.row, now)
         scheduler = self._scheduler_index[(cand.rank, cand.bank)]
         if self.observer is not None:
-            # Before any queue or row mutation, so the tracer's
-            # inversion probe sees the queue the selection saw.
+            # Before any DRAM, queue or register mutation, so observers
+            # keying requests see the state the selection saw.
             self.observer.on_command(scheduler, cand, now)
+        self.dram.issue(cand.kind, cand.rank, cand.bank, cand.row, now)
         self.stats.command_counts[cand.kind.slot] += 1
         scheduler.on_issue(cand, now)
         if self._policy_hooks is not None:

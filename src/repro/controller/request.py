@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class RequestKind(enum.Enum):
@@ -42,8 +42,12 @@ class MemoryRequest:
             never compare equal under FCFS ordering.
         virtual_arrival: Arrival time on the FQ scheduler's real clock
             (which pauses during refresh periods).
-        virtual_finish_time: Most recent VTMS finish-time estimate; set
-            by the FQ scheduler each time the request is considered.
+        virtual_start_time / virtual_finish_time: VTMS start- and
+            finish-time estimates (Eqs 3 and 7), stamped by
+            :meth:`~repro.controller.bank_scheduler.BankScheduler.key`
+            each time the bank scheduler keys the request, so they are
+            current only right after a key; arrival accounting fixes
+            the finish time at accept.
         cas_issued_at: Cycle the data-moving command issued, or None.
         completed_at: Cycle the last data beat transferred, or None.
     """
@@ -65,15 +69,6 @@ class MemoryRequest:
     virtual_arrival: float = 0.0
     virtual_start_time: float = 0.0
     virtual_finish_time: float = 0.0
-    #: Cache stamps for the finish-time estimate — the owning thread's
-    #: VTMS epoch and the bank's row epoch at the last recompute; the
-    #: estimate is refreshed only when either moves.  -1 = never set.
-    vft_thread_epoch: int = -1
-    vft_row_epoch: int = -1
-    #: Memoized policy ordering key; invalidated (set to ``None``)
-    #: whenever the finish-time estimate is refreshed.  Policies whose
-    #: keys are fixed at arrival never invalidate it.
-    key_cache: Optional[Tuple] = None
     cas_issued_at: Optional[int] = None
     completed_at: Optional[int] = None
 

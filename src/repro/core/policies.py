@@ -30,10 +30,10 @@ class Policy(SchedulingPolicy):
     """A paper-policy instance of the :class:`SchedulingPolicy` protocol.
 
     The five paper policies (and the bounded ablation variant) are all
-    stateless value objects of this one dataclass: keys are pure
-    functions of request fields and VTMS stamps (``memoize_keys``
-    stays True), no hooks are needed, and the flags below select the
-    behaviour.
+    stateless value objects of this one dataclass: keys read only
+    request fields and the VTMS stamps the bank scheduler writes just
+    before each call, no hooks are needed, and the flags below select
+    the behaviour.
 
     Attributes:
         name: Short identifier used in reports ("FR-FCFS", ...).

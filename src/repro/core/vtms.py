@@ -10,11 +10,13 @@ per thread is a small register file:
 * ``Ra_i``: the earliest (virtual) arrival time among the thread's
   pending requests
 
-Virtual finish-times are computed *just before* requests are
-considered for scheduling (the paper's second, more accurate option),
-using the bank-state-dependent service times of Table 3; the registers
-are updated as each SDRAM command actually issues, using the
-per-command service times of Table 4 (Equations 8 and 9).
+Virtual finish-times are computed *just before* the scheduler reads a
+request's key (the paper's second, more accurate option), from the
+live registers and the bank-state-dependent service times of Table 3;
+nothing caches them, since a thread's queued requests of one Table 3
+class share an estimate and the bank scheduler keys only the oldest.
+The registers are updated as each SDRAM command actually issues, using
+the per-command service times of Table 4 (Equations 8 and 9).
 """
 
 from __future__ import annotations
@@ -40,12 +42,8 @@ class ThreadVtms:
         self.channel_finish: float = 0.0
         #: Ra_i — earliest arrival among the thread's pending requests.
         self.oldest_arrival: float = 0.0
-        #: Bumped whenever any register changes; used to cache computed
-        #: finish-time estimates.
-        self.epoch: int = 0
-        #: Owning :class:`VtmsState`, when part of one; lets register
-        #: changes also bump the state-wide ``global_epoch`` so bank
-        #: schedulers can skip whole finish-time scans in O(1).
+        #: Owning :class:`VtmsState`, when part of one; register changes
+        #: bump its state-wide ``global_epoch``.
         self.owner: Optional["VtmsState"] = None
         # Precomputed scaled service times (the paper notes these are
         # constants once the share register is written).
@@ -71,8 +69,7 @@ class ThreadVtms:
         return bank_service / self.share
 
     def bump_epoch(self) -> None:
-        """Record a register change (thread-local and state-wide)."""
-        self.epoch += 1
+        """Record a register change on the owning state's epoch."""
         owner = self.owner
         if owner is not None:
             owner.global_epoch += 1
@@ -166,9 +163,9 @@ class VtmsState:
         self.threads: List[ThreadVtms] = [
             ThreadVtms(i, share, num_banks, timing) for i, share in enumerate(shares)
         ]
-        #: Monotonic count of register changes across all threads; a
-        #: cheap version number for "did anything move since my last
-        #: look" checks in the bank schedulers.
+        #: Monotonic count of register changes across all threads; the
+        #: controller compares it around an arrival or an issue to drop
+        #: the wake bounds that read VTMS registers.
         self.global_epoch: int = 0
         for thread in self.threads:
             thread.owner = self

@@ -10,7 +10,9 @@ place observers are wired in; a component with two subscribers gets a
 :class:`Fanout`.
 
 Observers only read simulator state and write their own buffers, so an
-observed run is bit-identical to a plain one.  Scheduling policies'
+observed run is bit-identical to a plain one.  (Keying a request through
+``BankScheduler.key`` rewrites its VTMS stamps, which the scheduler
+recomputes before every read.)  Scheduling policies'
 lifecycle hooks (``SchedulingPolicy.on_arrival`` and friends) are not
 observers: they steer.
 
@@ -39,7 +41,8 @@ class Observer:
       at the end of :meth:`~repro.sim.system.CmpSystem.run`;
     * a memory controller — :meth:`on_accept` when a request enters
       its buffers, :meth:`on_command` for each issued SDRAM command
-      (after the DRAM state update, before any queue mutation),
+      (before the DRAM, queue and VTMS register updates, so the state
+      is the one the selection saw),
       :meth:`on_refresh` when a refresh starts, :meth:`on_complete`
       when a request's data finishes on the bus;
     * a channel scheduler — :meth:`on_arbitration` for each

@@ -9,21 +9,20 @@ package may assume a concrete policy class.
 A policy contributes up to four things:
 
 1. **A priority key** (:meth:`SchedulingPolicy.request_key`): the
-   per-request ordering tuple, lower = higher priority.  Two class
-   flags shape how the schedulers consume it:
-
-   * ``memoize_keys`` — True (default) means a request's key is a pure
-     function of the request's fields (including its cached VFT
-     estimate, refreshed under epoch stamps) and may be cached per
-     request (the paper policies).  Stateful policies whose
-     keys read mutable policy state (BLISS's blacklist, MISE's
-     slowdown table) must set it False so keys are recomputed on every
-     scheduling pass.
-   * ``key_over_cas`` — False (default) keeps Rixner's CAS-over-RAS
-     level above the key; True ranks the policy key *above* the
-     CAS-over-RAS preference (BLISS: a non-blacklisted thread's
-     activate beats a blacklisted thread's ready row hit).  Ready
-     commands always rank above not-ready ones.
+   per-request ordering tuple, lower = higher priority.  It must be a
+   per-thread prefix followed by ``(arrival_time, seq)``: the prefix
+   may read only the request's thread, policy state and the VTMS
+   stamps (``virtual_start_time``/``virtual_finish_time``), which the
+   bank scheduler writes from live registers just before each call
+   and which agree for a thread's requests of one Table 3 row class.
+   The bank scheduler relies on that shape: it keys only each
+   thread's oldest request per command kind, afresh on every pass.
+   The ``key_over_cas`` class flag shapes how the schedulers consume
+   the key: False (default) keeps Rixner's CAS-over-RAS level above
+   it; True ranks the policy key *above* the CAS-over-RAS preference
+   (BLISS: a non-blacklisted thread's activate beats a blacklisted
+   thread's ready row hit).  Ready commands always rank above
+   not-ready ones.
 
 2. **Lifecycle hooks** (``on_arrival`` / ``on_issue`` /
    ``on_complete``) and a per-cycle **epoch hook** (``on_cycle``),
@@ -68,7 +67,7 @@ class SchedulingPolicy:
     Subclasses override :meth:`request_key` (required) and whichever
     flags and hooks their mechanism needs.  The defaults describe the
     simplest possible policy: stateless, no VTMS, no bank-commit rule,
-    no hooks, keys cacheable per request.
+    no hooks.
     """
 
     #: Short identifier used in reports and the result cache.
@@ -85,10 +84,6 @@ class SchedulingPolicy:
     arrival_accounting: bool = False
     #: Paper §2.3: earliest virtual *start*-time priority.
     start_time_priority: bool = False
-    #: True when keys are pure in the request's fields (including its
-    #: epoch-stamped VFT estimate) and may be memoized per request;
-    #: stateful policies must set False.
-    memoize_keys: bool = True
     #: True ranks the policy key above the CAS-over-RAS preference.
     key_over_cas: bool = False
     #: True when the controller must dispatch the lifecycle/epoch hooks
@@ -113,7 +108,11 @@ class SchedulingPolicy:
         return ("arrival_time", "seq")
 
     def request_key(self, request: "MemoryRequest") -> Tuple:
-        """Ordering key — lower compares as higher priority."""
+        """Ordering key — lower compares as higher priority.
+
+        A per-thread prefix, then ``(arrival_time, seq)``; see the
+        module docstring.
+        """
         raise NotImplementedError
 
     # -- lifecycle hooks (dispatched only when ``has_hooks``) --------------

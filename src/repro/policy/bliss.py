@@ -38,8 +38,6 @@ class BlissPolicy(SchedulingPolicy):
     """Interval-based blacklisting with round-robin service."""
 
     name = "BLISS"
-    #: Keys read the mutable blacklist and round-robin state.
-    memoize_keys = False
     #: The blacklist bit outranks the CAS-over-RAS preference: a
     #: non-blacklisted thread's activate beats a blacklisted thread's
     #: ready row hit, which is the BLISS interference-breaking move.

@@ -82,8 +82,6 @@ class SlowdownPolicy(SchedulingPolicy):
     """Highest-estimated-slowdown-first scheduling (MISE-QoS style)."""
 
     name = "MISE"
-    #: Keys read the mutable slowdown snapshot.
-    memoize_keys = False
     has_hooks = True
 
     def __init__(

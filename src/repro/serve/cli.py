@@ -300,7 +300,8 @@ def _cmd_status(argv: Sequence[str]) -> int:
         f"{len(status.get('running', []))} running "
         f"(of {status.get('workers', 0)} workers), "
         f"{counts.get('done', 0)} done, {counts.get('cached', 0)} cached, "
-        f"{counts.get('retried', 0)} retried, {counts.get('lost', 0)} lost"
+        f"{counts.get('retried', 0)} retried, {counts.get('lost', 0)} lost, "
+        f"{counts.get('error', 0)} error"
     )
     pids = status.get("worker_pids", {})
     if pids:

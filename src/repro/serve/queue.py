@@ -51,7 +51,7 @@ class Job:
     __slots__ = (
         "job_id", "tenant", "spec", "cost", "start_tag", "finish_tag",
         "attempts", "state", "progress", "submitted_s", "started_s",
-        "finished_s", "busy_s", "error",
+        "busy_s", "error",
     )
 
     def __init__(
@@ -70,7 +70,6 @@ class Job:
         #: only for metrics, never for scheduling or results.
         self.submitted_s = 0.0
         self.started_s = 0.0
-        self.finished_s = 0.0
         self.busy_s = 0.0
         self.error: Optional[str] = None
 

@@ -148,11 +148,12 @@ class RunTelemetry(Observer):
     ) -> None:
         """A command issued from one bank queue (stations 3 and 4).
 
-        The controller emits it *before* the bank scheduler mutates
-        queue or row state, so the inversion check sees exactly the
-        queue the selection saw.  Key recomputation goes through the
-        policy directly (not the per-request memo) so tracing leaves
-        the scheduler's caches byte-for-byte untouched.
+        The controller emits it *before* the DRAM, queue and register
+        updates, so keys taken here through
+        :meth:`~repro.controller.bank_scheduler.BankScheduler.key` are
+        the keys the selection compared.  Keying rewrites only VTMS
+        stamps the scheduler recomputes before every read, so tracing
+        cannot steer the run.
         """
         request = cand.request
         timing = scheduler.dram.timing
@@ -171,14 +172,14 @@ class RunTelemetry(Observer):
         )
         if request is None:
             return  # auto-precharge: no request lifecycle to annotate
+        # Keying also stamps the VST/VFT a CAS's lifecycle record keeps.
+        key_of = scheduler.key
+        key = key_of(request)
         inverted = False
-        if len(scheduler.queue) > 1:
-            policy_key = scheduler.policy.request_key
-            key = policy_key(request)
-            for other in scheduler.queue:
-                if other is not request and policy_key(other) < key:
-                    inverted = True
-                    break
+        for other in scheduler.queue:
+            if other is not request and key_of(other) < key:
+                inverted = True
+                break
         thread = request.thread_id
         tracer = self.tracer
         record = tracer._open.get(request.seq)
@@ -193,11 +194,7 @@ class RunTelemetry(Observer):
         if inverted:
             self.inversions[thread] += 1
         if cand.kind.is_cas:
-            # Recompute the ordering tuple; called before any issue
-            # mutation, so it matches the key the selection compared.
-            tracer.on_command_key(
-                request, scheduler.policy.request_key(request)
-            )
+            tracer.on_command_key(request, key)
 
     def on_arbitration(self, now: int, ready: int) -> None:
         """The channel scheduler issued with ``ready`` banks ready."""

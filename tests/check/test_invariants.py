@@ -18,6 +18,7 @@ def checked_system(policy, cores=2):
 
 
 def make_request(thread_id=0, bank=0, seq=None, vft=0.0, arrival=0):
+    """A read to row 0 of ``bank``; ``vft`` is the request's VFT stamp."""
     request = MemoryRequest(
         thread_id=thread_id,
         kind=RequestKind.READ,
@@ -146,40 +147,89 @@ class TestMonotonicity:
 
 
 class TestBoundedInversion:
-    def test_committed_bank_must_serve_earliest_vft(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
-        urgent = make_request(thread_id=0, vft=10.0, arrival=0)
-        laggard = make_request(thread_id=1, vft=50.0, arrival=1)
-        inv.on_accept(urgent, 10)
-        inv.on_accept(laggard, 11)
+    """The checker keys pending requests from the VTMS registers."""
+
+    def _committed(self):
+        """A checked FQ-VFTF controller whose bank (0, 0) is committed.
+
+        Thread 1 has consumed bank 0 service, so its registers put its
+        VFT far behind thread 0's: ``laggard`` arrived first and carries
+        the lower VFT stamp, yet ``urgent`` has the earliest VFT.
+        """
+        system = checked_system("FQ-VFTF")
+        inv = system.checkers[0].invariants
+        for _ in range(10):
+            system.controller.vtms[1].on_command_issued(
+                CommandType.READ, 0, arrival=0.0
+            )
+        laggard = make_request(thread_id=1, vft=10.0, arrival=0)
+        urgent = make_request(thread_id=0, vft=50.0, arrival=1)
+        inv.on_accept(laggard, 10)
+        inv.on_accept(urgent, 11)
         view = inv.banks[(0, 0)]
         view.open = True
         view.last_activate = 100
+        return inv, urgent, laggard
+
+    def test_committed_bank_must_serve_earliest_vft(self):
+        inv, urgent, laggard = self._committed()
         now = 100 + inv.inversion_bound  # the bank is committed
         with pytest.raises(InvariantViolation) as info:
             inv.on_command(cas_for(laggard), now)
         assert info.value.invariant == "bounded-inversion"
 
     def test_before_the_bound_any_order_is_legal(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
-        urgent = make_request(thread_id=0, vft=10.0, arrival=0)
-        laggard = make_request(thread_id=1, vft=50.0, arrival=1)
-        inv.on_accept(urgent, 10)
-        inv.on_accept(laggard, 11)
-        view = inv.banks[(0, 0)]
-        view.open = True
-        view.last_activate = 100
+        inv, urgent, laggard = self._committed()
         inv.on_command(cas_for(laggard), 100 + inv.inversion_bound - 1)
         assert inv.retired == 1
 
     def test_committed_bank_serving_earliest_is_legal(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
-        urgent = make_request(thread_id=0, vft=10.0, arrival=0)
-        laggard = make_request(thread_id=1, vft=50.0, arrival=1)
-        inv.on_accept(urgent, 10)
-        inv.on_accept(laggard, 11)
-        view = inv.banks[(0, 0)]
-        view.open = True
-        view.last_activate = 100
+        inv, urgent, laggard = self._committed()
         inv.on_command(cas_for(urgent), 100 + inv.inversion_bound)
         assert inv.retired == 1
+
+    def test_key_follows_the_live_bank_row(self):
+        # Table 3: with row 0 open, thread 0's request is a row hit and
+        # its VFT falls below a closed-bank estimate.
+        system = checked_system("FQ-VFTF")
+        inv = system.checkers[0].invariants
+        request = make_request(thread_id=0)
+        closed = inv._priority_key(request)
+        system.controller.dram.issue(CommandType.ACTIVATE, 0, 0, 0, 0)
+        assert inv._priority_key(request) < closed
+
+
+class TestAcceptOrder:
+    def test_thread_accepts_must_rise_in_arrival_seq_order(self):
+        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        first = make_request(thread_id=0, arrival=5)
+        older = make_request(thread_id=0, arrival=4)
+        inv.on_accept(first, 10)
+        with pytest.raises(InvariantViolation) as info:
+            inv.on_accept(older, 11)
+        assert info.value.invariant == "accept-order"
+
+    def test_equal_arrival_needs_a_larger_seq(self):
+        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv.on_accept(make_request(thread_id=0, arrival=5, seq=20), 10)
+        with pytest.raises(InvariantViolation) as info:
+            inv.on_accept(make_request(thread_id=0, arrival=5, seq=19), 10)
+        assert info.value.invariant == "accept-order"
+
+    def test_other_threads_are_independent(self):
+        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv.on_accept(make_request(thread_id=0, arrival=5), 10)
+        inv.on_accept(make_request(thread_id=1, arrival=4), 10)
+        assert inv.accepted == 2
+
+    def test_arrival_accounting_vft_must_rise(self):
+        inv = checked_system("FQ-VFTF-ARR").checkers[0].invariants
+        inv.on_accept(make_request(thread_id=0, arrival=1, vft=300.0), 10)
+        with pytest.raises(InvariantViolation) as info:
+            inv.on_accept(make_request(thread_id=0, arrival=2, vft=300.0), 11)
+        assert info.value.invariant == "accept-order"
+
+    def test_real_arrival_accounting_run_is_in_order(self):
+        system = checked_system("FQ-VFTF-ARR")
+        system.run(20_000)  # any out-of-order accept raises
+        assert system.check_summary()["requests_accepted"] > 0

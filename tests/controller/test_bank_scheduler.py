@@ -117,6 +117,55 @@ class TestFirstReadySelection:
         assert cand.request is early
 
 
+class TestGroupHeads:
+    """The queue is age-ordered and only group heads are keyed."""
+
+    def _spy(self, scheduler):
+        keyed = []
+        real = scheduler.key
+
+        def spy(request):
+            keyed.append(request)
+            return real(request)
+
+        scheduler.key = spy
+        return keyed
+
+    def test_add_keeps_arrival_seq_order(self, dram):
+        scheduler, _ = make_scheduler(dram)
+        late, early, tie = req(0, 9, arrival=10), req(0, 5, arrival=2), req(0, 7, arrival=10)
+        tie.seq = late.seq - 1  # same arrival, older sequence number
+        for request in (late, early, tie):
+            scheduler.add(request)
+        assert scheduler.queue == [early, tie, late]
+
+    def test_closed_bank_keys_each_threads_oldest(self, dram):
+        scheduler, _ = make_scheduler(dram, FQ_VFTF)
+        t0 = [req(0, 5 + i, thread=0, arrival=i) for i in range(3)]
+        t1 = req(0, 9, thread=1, arrival=1)
+        for request in t0 + [t1]:
+            scheduler.add(request)
+        keyed = self._spy(scheduler)
+        scheduler.candidate(0)
+        assert keyed == [t0[0], t1]
+
+    def test_mixed_queue_keys_each_thread_and_kinds_oldest(self, dram, timing):
+        scheduler, _ = make_scheduler(dram, FR_FCFS)
+        hits = [req(0, 5, thread=0, arrival=i, column=i) for i in range(2)]
+        writes = [
+            req(0, 5, thread=0, arrival=2 + i, column=4 + i, kind=RequestKind.WRITE)
+            for i in range(2)
+        ]
+        conflicts = [req(0, 9, thread=1, arrival=i) for i in range(2)]
+        for request in hits + writes + conflicts:
+            scheduler.add(request)
+        dram.issue(CommandType.ACTIVATE, 0, 0, 5, 0)
+        keyed = self._spy(scheduler)
+        cand = scheduler.candidate(timing.t_ras)
+        assert cand.request is hits[0]
+        assert set(keyed) <= {hits[0], writes[0], conflicts[0]}
+
+
 class TestFqBankRule:
     def _open_and_queue(self, dram, scheduler, vtms, timing):
         """Open row 5 for a thread-0 stream and queue a thread-1 conflict."""

@@ -2,10 +2,13 @@
 
 ``candidate`` collapses three queue shapes (closed bank, conflicts
 only, all-hit reads) to the min-key request under one readiness probe,
-and runs one mixed-kind pass otherwise.  The reference below is the
-plain first-ready definition with no shortcut: probe every visible
-request and keep the least ``(not ready, RAS penalty, key)`` tuple,
-the penalty dropped under ``key_over_cas``.  Hypothesis drives both
+runs one mixed-kind pass otherwise, and keys only each thread's oldest
+request per command kind.  The reference below is the plain
+first-ready definition with no shortcut: stamp every visible request's
+VTMS estimates from the registers itself, probe every request and keep
+the least ``(not ready, RAS penalty, key)`` tuple, the penalty dropped
+under ``key_over_cas``.  Requests arrive in acceptance order, the order
+in which the controller fixes FQ-VFTF-ARR's VFTs.  Hypothesis drives both
 over random queues, bank states on both sides of the inversion bound,
 the write-drain gate and the refresh drain, and every registered
 policy (BLISS and MISE with non-trivial state); both must nominate the
@@ -46,35 +49,46 @@ def reference(scheduler, now, draining_for_refresh):
     """First-ready selection by definition: every request, every probe."""
     bank = scheduler._bank
     policy = scheduler.policy
-    if policy.uses_vtms and not policy.arrival_accounting and scheduler.queue:
-        scheduler._refresh_finish_times()
     visible = [
         r for r in scheduler.queue if scheduler.writes_eligible or r.is_read
     ]
+    if policy.uses_vtms and not policy.arrival_accounting:
+        # Deferred accounting: Eqs 3 and 7 over the live registers and
+        # the Table 3 service time of the bank's row state.
+        for request in visible:
+            thread = scheduler.vtms[request.thread_id]
+            request.virtual_start_time = thread.start_time_estimate(BANK)
+            request.virtual_finish_time = thread.finish_time_estimate(
+                BANK, bank.state_service_time(request.row)
+            )
     open_row = bank.open_row
     if not visible:
         if open_row is not None and (
             scheduler.row_policy == "closed" or draining_for_refresh
         ):
-            return summary(scheduler._auto_precharge(now))
+            return PRECHARGE, None, scheduler.dram.can_issue(PRECHARGE, 0, BANK, now)
         return None
     if draining_for_refresh and open_row is None:
         return None
+
+    def kind_of(request):
+        if open_row is None:
+            return ACTIVATE
+        if open_row == request.row:
+            return READ if request.is_read else WRITE
+        return PRECHARGE
+
     if (
         policy.fq_bank_rule
         and open_row is not None
         and now - bank.last_activate >= scheduler.inversion_bound
     ):
         chosen = min(visible, key=policy.request_key)
-        return summary(scheduler._candidate_for(chosen, now))
+        kind = kind_of(chosen)
+        return kind, chosen.seq, scheduler.dram.can_issue(kind, 0, BANK, now)
     best = best_sort = best_kind = None
     for request in visible:
-        if open_row is None:
-            kind = ACTIVATE
-        elif open_row == request.row:
-            kind = READ if request.is_read else WRITE
-        else:
-            kind = PRECHARGE
+        kind = kind_of(request)
         ready = scheduler.dram.can_issue(kind, scheduler.rank, scheduler.bank, now)
         key = policy.request_key(request)
         if policy.key_over_cas:
@@ -151,9 +165,8 @@ def scenarios(draw, name):
         (RequestKind.READ,), (RequestKind.WRITE,),
         (RequestKind.READ, RequestKind.WRITE),
     )))
-    for _ in range(draw(st.integers(0, 8))):
+    for arrival in sorted(draw(st.lists(st.integers(0, now), max_size=8))):
         thread = draw(st.integers(0, NUM_THREADS - 1))
-        arrival = draw(st.integers(0, now))
         request = MemoryRequest(
             thread_id=thread,
             kind=draw(st.sampled_from(kinds)),

@@ -208,16 +208,16 @@ class TestVtmsState:
 
     def test_epoch_bumps_on_update(self, timing):
         state = VtmsState([0.5, 0.5], 8, timing)
-        before = state[0].epoch
+        before = state.global_epoch
         state[0].on_command_issued(CommandType.READ, 0, arrival=0.0)
-        assert state[0].epoch > before
+        assert state.global_epoch > before
 
     def test_epoch_stable_when_arrival_unchanged(self, timing):
         state = VtmsState([1.0], 8, timing)
         state.set_oldest_arrival(0, 42.0)
-        before = state[0].epoch
+        before = state.global_epoch
         state.set_oldest_arrival(0, 42.0)
-        assert state[0].epoch == before
+        assert state.global_epoch == before
 
 
 class TestVirtualTimeScalingProperties:

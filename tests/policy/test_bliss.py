@@ -127,7 +127,6 @@ class TestPriorityKey:
         # The flag the schedulers consult; BLISS's defining move is a
         # non-blacklisted activate beating a blacklisted ready row hit.
         assert BlissPolicy(num_threads=1).key_over_cas
-        assert not BlissPolicy(num_threads=1).memoize_keys
 
 
 class TestValidation:

@@ -106,7 +106,6 @@ class TestPolicy:
 
     def test_stateful_flags(self):
         policy = SlowdownPolicy(1, TIMING)
-        assert not policy.memoize_keys
         assert policy.has_hooks
         assert not policy.key_over_cas
 

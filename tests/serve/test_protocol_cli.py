@@ -340,6 +340,20 @@ class TestCliDispatch:
             f"{counts['lost']} lost, {counts['error']} error)"
         ) in out
 
+    def test_status_counts_errored_runs(self, tmp_path, capsys, monkeypatch):
+        def fake_request(root, payload):
+            return {"ok": True, "status": {
+                "queued": 0, "running": [], "workers": 2,
+                "counts": {"done": 1, "error": 3},
+            }}
+
+        monkeypatch.setattr(serve_cli, "request", fake_request)
+        assert serve_cli.main(["status", "--root", str(tmp_path)]) == 0
+        assert (
+            "status: 0 queued, 0 running (of 2 workers), 1 done, 0 cached, "
+            "0 retried, 0 lost, 3 error"
+        ) in capsys.readouterr().out
+
     def test_default_root_honors_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "/tmp/custom-root")
         assert serve_cli.default_root() == "/tmp/custom-root"
